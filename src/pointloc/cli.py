@@ -30,10 +30,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from pointloc.dataset import DatasetFormatError
     from pointloc.evaluation import EvaluationError
+    from pointloc.pipeline import DatabaseFormatError
+    from pointloc.retrieval import InsufficientDataError
 
     try:
         return args.func(args)
-    except DatasetFormatError as e:
+    except (DatasetFormatError, DatabaseFormatError, InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except EvaluationError as e:
@@ -188,6 +190,8 @@ def cmd_train_vocab(args) -> int:
     from pointloc.pipeline import PipelineConfig, train_vocabulary_for_dataset
     from pointloc.retrieval import save_vocabulary
 
+    if args.k < 1:
+        raise ValueError("--k must be at least 1")
     config = PipelineConfig(max_keypoints=args.max_keypoints)
     vocab = train_vocabulary_for_dataset(
         _iter_scene_groups(args.dataset), k=args.k, seed=args.seed, config=config

@@ -11,6 +11,7 @@ falls back to the retrieved pose itself (the retrieval-only baseline).
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -506,41 +507,92 @@ def save_database(db: LocalizationDatabase, path: str | Path) -> None:
             fh.write(depth_u16.tobytes())
 
 
+class DatabaseFormatError(ValueError):
+    """A database file that is truncated, corrupt or of another format."""
+
+
+class _DatabaseReader:
+    """Exact-length reads from an open database file: a field that runs past
+    the end of the file raises DatabaseFormatError naming the field, before
+    anything is allocated for it."""
+
+    def __init__(self, fh, path: str | Path):
+        self.fh = fh
+        self.path = path
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def fail(self, message: str) -> DatabaseFormatError:
+        return DatabaseFormatError(f"{self.path}: {message}")
+
+    def read(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise self.fail(f"truncated in {what}: need {n} bytes, {self.left} left")
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise self.fail(f"truncated in {what}")
+        self.left -= n
+        return data
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def array(self, count: int, dtype, what: str) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.read(count * dtype.itemsize, what), dtype=dtype)
+
+    def line(self, limit: int, what: str) -> bytes:
+        data = self.fh.readline(min(limit, self.left))
+        self.left -= len(data)
+        if not data.endswith(b"\n"):
+            raise self.fail(f"unterminated {what}")
+        return data
+
+
+_POSE_LINE_LIMIT = 512  # a pose is 7 numbers in at most 25 characters each
+
+
 def load_database(path: str | Path) -> LocalizationDatabase:
     from pointloc.render import DEPTH_LEVELS
 
     with open(path, "rb") as fh:
-        if fh.read(4) != _DB_MAGIC:
-            raise ValueError(f"{path}: not a localization database file")
-        (version,) = struct.unpack(">I", fh.read(4))
+        r = _DatabaseReader(fh, path)
+        if r.read(4, "magic") != _DB_MAGIC:
+            raise r.fail("not a localization database file")
+        (version,) = r.unpack(">I", "version")
         if version != _DB_VERSION:
-            raise ValueError(f"{path}: unsupported database version {version}")
-        (variant_code,) = struct.unpack(">B", fh.read(1))
+            raise r.fail(f"unsupported database version {version}")
+        (variant_code,) = r.unpack(">B", "variant")
+        if variant_code not in (0, 1):
+            raise r.fail(f"unknown retrieval variant code {variant_code}")
         variant = VARIANT_BOW if variant_code == 0 else VARIANT_VLAD
-        fx, fy, cx, cy, width, height = struct.unpack(">ddddII", fh.read(40))
-        intrinsics = CameraIntrinsics(fx, fy, cx, cy, width, height)
-        (vocab_k,) = struct.unpack(">I", fh.read(4))
-        (seed,) = struct.unpack(">q", fh.read(8))
-        centroids = np.frombuffer(fh.read(vocab_k * DESCRIPTOR_BYTES), dtype=np.uint8)
+        fx, fy, cx, cy, width, height = r.unpack(">ddddII", "intrinsics")
+        try:
+            intrinsics = CameraIntrinsics(fx, fy, cx, cy, width, height)
+        except ValueError as e:
+            raise r.fail(f"bad intrinsics: {e}") from e
+        (vocab_k,) = r.unpack(">I", "vocabulary size")
+        (seed,) = r.unpack(">q", "vocabulary seed")
+        centroids = r.array(vocab_k * DESCRIPTOR_BYTES, np.uint8, "vocabulary centroids")
         centroids = centroids.reshape(vocab_k, DESCRIPTOR_BYTES).copy()
-        idf = np.frombuffer(fh.read(vocab_k * 8), dtype=">f8").astype(np.float64)
+        idf = r.array(vocab_k, ">f8", "vocabulary idf").astype(np.float64)
         vocab = Vocabulary(vocab_k, centroids, idf, seed)
-        n_frames, dim = struct.unpack(">II", fh.read(8))
+        n_frames, dim = r.unpack(">II", "frame count")
         frames = []
-        for _ in range(n_frames):
-            frame_id, point_id = struct.unpack(">II", fh.read(8))
-            pose_line = b""
-            while not pose_line.endswith(b"\n"):
-                pose_line += fh.read(1)
-            pose = pose_from_text(pose_line.decode("ascii").strip())
-            (n_kp,) = struct.unpack(">I", fh.read(4))
-            xy = np.frombuffer(fh.read(n_kp * 16), dtype=">f8").astype(np.float64)
+        for i in range(n_frames):
+            where = f"frame {i}"
+            frame_id, point_id = r.unpack(">II", f"{where} ids")
+            try:
+                pose = pose_from_text(r.line(_POSE_LINE_LIMIT, f"{where} pose").decode("ascii"))
+            except ValueError as e:  # also UnicodeDecodeError
+                raise r.fail(f"bad {where} pose: {e}") from e
+            (n_kp,) = r.unpack(">I", f"{where} keypoint count")
+            xy = r.array(n_kp * 2, ">f8", f"{where} keypoints").astype(np.float64)
             xy = xy.reshape(n_kp, 2)
-            desc = np.frombuffer(fh.read(n_kp * DESCRIPTOR_BYTES), dtype=np.uint8)
+            desc = r.array(n_kp * DESCRIPTOR_BYTES, np.uint8, f"{where} descriptors")
             desc = desc.reshape(n_kp, DESCRIPTOR_BYTES).copy()
-            emb = np.frombuffer(fh.read(dim * 8), dtype=">f8").astype(np.float64)
-            h, w = struct.unpack(">II", fh.read(8))
-            depth = np.frombuffer(fh.read(h * w * 2), dtype=">u2").astype(np.float64)
+            emb = r.array(dim, ">f8", f"{where} embedding").astype(np.float64)
+            h, w = r.unpack(">II", f"{where} depth size")
+            depth = r.array(h * w, ">u2", f"{where} depth").astype(np.float64)
             depth = depth.reshape(h, w) / DEPTH_LEVELS
             frames.append(
                 DatabaseFrame(
@@ -553,6 +605,8 @@ def load_database(path: str | Path) -> LocalizationDatabase:
                     embedding=GlobalEmbedding(emb, variant),
                 )
             )
+        if r.left:
+            raise r.fail(f"{r.left} bytes after the last frame")
     index = build_index([f.frame_id for f in frames], [f.embedding for f in frames])
     return LocalizationDatabase(tuple(frames), vocab, index, intrinsics, variant)
 

@@ -249,6 +249,74 @@ def _tls_weights(r2: np.ndarray, eps2: float, mu: float) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
+# Rounding-step cover of the batched start-hypothesis bounds (see _gnc_start).
+_GNC_ROUNDING_STEPS = 1024
+
+
+def _gnc_start(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost) -> Pose:
+    """Pose of the first start hypothesis with the lowest truncated cost.
+
+    Same result, bit for bit, as fitting every 3-point hypothesis with
+    umeyama in draw order, starting from the all-point fit and keeping a
+    hypothesis only when its cost is strictly lower (so the earliest one wins
+    ties).  All hypotheses are fitted at once by a stacked Kabsch solve and
+    scored as one (H, n) residual array; then only those whose cost could be
+    the lowest, or whose degeneracy could go either way, are fitted again by
+    umeyama and scored as before, in draw order.
+
+    The stacked fit differs from umeyama only by rounding.  With u = 2^-53
+    and L the largest query plus the largest db point norm, every rounding
+    step of either fit moves the cross-covariance and its singular values by
+    at most about u L^2; c = _GNC_ROUNDING_STEPS covers the steps of both
+    fits many times over, so dh = c u L^2 bounds the difference of the two
+    singular values and of the degeneracy margin (by 2 dh).  The rotation of
+    a rank-2 Kabsch problem moves by at most 2 dh / s1 (s1 the second
+    singular value), plus c u for forming it; a residual then moves by at
+    most dr = 2 (rho + c u) L, and a truncated cost term min(r^2/eps^2, 1)
+    by dr (2 eps + 3 dr) / eps^2 plus rounding: err bounds the cost gap.
+    """
+    pose = umeyama(q, d)
+    best_cost = truncated_cost(_residuals(pose, q, d) ** 2)
+    hyp_rng = np.random.default_rng(_GNC_INIT_SEED)
+    idx = np.array(
+        [hyp_rng.choice(len(q), size=3, replace=False) for _ in range(GNC_INIT_HYPOTHESES)]
+    )
+
+    q3, d3 = q[idx], d[idx]  # (H, 3, 3)
+    qc, dc = q3.mean(axis=1), d3.mean(axis=1)
+    cov = np.einsum("hni,hnj->hij", q3 - qc[:, None], d3 - dc[:, None]) / 3.0
+    u, s, vt = np.linalg.svd(cov)
+    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    vt[:, 2] *= sign[:, None]
+    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
+    trans = dc - np.einsum("hij,hj->hi", rot, qc)
+    res = np.einsum("hij,nj->hni", rot, q) + trans[:, None] - d
+    cost = np.minimum(np.einsum("hni,hni->hn", res, res) / eps2, 1.0).sum(axis=1)
+
+    c_u = _GNC_ROUNDING_STEPS * np.finfo(np.float64).eps / 2  # eps / 2 = u
+    scale = float(np.linalg.norm(q, axis=1).max() + np.linalg.norm(d, axis=1).max())
+    dh = c_u * scale * scale
+    gap = s[:, 1] - DEGENERACY_RTOL * np.maximum(s[:, 0], 1e-300)
+    undecided = np.abs(gap) <= 2.0 * dh
+    fitted = gap > 2.0 * dh
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = 2.0 * dh / (s[:, 1] - dh) + c_u
+    dr = 2.0 * (rho + c_u) * scale
+    err = len(q) * (dr * (2.0 * np.sqrt(eps2) + 3.0 * dr) / eps2 + c_u)
+    lowest = np.min(np.where(fitted, cost + err, np.inf))
+    rescore = undecided | (fitted & (cost - err <= lowest))
+
+    for h in np.flatnonzero(rescore):
+        try:
+            cand = umeyama(q[idx[h]], d[idx[h]])
+        except DegenerateConfigurationError:
+            continue
+        c = truncated_cost(_residuals(cand, q, d) ** 2)
+        if c < best_cost:
+            pose, best_cost = cand, c
+    return pose
+
+
 def gnc_tls_register(
     p_query: np.ndarray, p_db: np.ndarray, noise_bound: float
 ) -> RegistrationResult:
@@ -275,19 +343,7 @@ def gnc_tls_register(
     def truncated_cost(res2: np.ndarray) -> float:
         return float(np.minimum(res2 / eps2, 1.0).sum())
 
-    pose = umeyama(q, d)
-    best_cost = truncated_cost(_residuals(pose, q, d) ** 2)
-    hyp_rng = np.random.default_rng(_GNC_INIT_SEED)
-    for _ in range(GNC_INIT_HYPOTHESES):
-        idx = hyp_rng.choice(len(q), size=3, replace=False)
-        try:
-            cand = umeyama(q[idx], d[idx])
-        except DegenerateConfigurationError:
-            continue
-        cost = truncated_cost(_residuals(cand, q, d) ** 2)
-        if cost < best_cost:
-            pose, best_cost = cand, cost
-
+    pose = _gnc_start(q, d, eps2, truncated_cost)
     r2 = _residuals(pose, q, d) ** 2
     history = [truncated_cost(r2)]
     mu = 2.0 * float(r2.max()) / eps2

@@ -9,7 +9,7 @@ to the all-zero vector, which never wins retrieval unless nothing else exists.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -72,12 +72,23 @@ class RetrievalIndex:
     frame_ids: np.ndarray  # (n,) int64
     matrix: np.ndarray  # (n, dim) float64
     variant: str
+    # Derived once from the matrix (never stored on disk): all-zero rows and
+    # squared row norms, the per-row half of the inner-product ranking.
+    zero_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.frame_ids) != len(self.matrix):
             raise ValueError("one embedding per frame id required")
         self.frame_ids.setflags(write=False)
         self.matrix.setflags(write=False)
+        sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        zero_rows = sq_norms == 0.0
+        # tiny nonzero entries can square to 0: only those rows need a look
+        zero_rows[zero_rows] = ~np.any(self.matrix[zero_rows], axis=1)
+        for name, value in (("zero_rows", zero_rows), ("sq_norms", sq_norms)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.frame_ids)
@@ -221,14 +232,18 @@ def build_index(frame_ids: Sequence[int], embeddings: Sequence[GlobalEmbedding])
     variant = embeddings[0].variant
     if any(e.variant != variant for e in embeddings):
         raise ValueError("all embeddings in an index must share one variant")
-    matrix = np.stack([e.values for e in embeddings]).astype(np.float64)
+    matrix = np.stack([e.values for e in embeddings]).astype(np.float64, copy=False)
     return RetrievalIndex(np.asarray(frame_ids, dtype=np.int64).copy(), matrix, variant)
 
 
-def _ranked(index: RetrievalIndex, q: GlobalEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and rank order.  Zero embeddings (either side) sit at
-    ZERO_VECTOR_DISTANCE and are ranked after every nonzero frame so that a
-    featureless frame can only win when nothing else is there."""
+def _ranked(index: RetrievalIndex, q: GlobalEmbedding, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the k best frames in rank order, and their exact distances.
+
+    The exact distance of a row is the row sum of its squared difference to
+    the query.  Zero embeddings (either side) sit at ZERO_VECTOR_DISTANCE and
+    are ranked after every nonzero frame so that a featureless frame can only
+    win when nothing else is there; equal distances go to the lowest frame id.
+    """
     if len(index) == 0:
         raise EmptyIndexError("retrieval index is empty")
     if q.variant != index.variant or len(q.values) != index.matrix.shape[1]:
@@ -236,28 +251,58 @@ def _ranked(index: RetrievalIndex, q: GlobalEmbedding) -> tuple[np.ndarray, np.n
             f"query variant/dim {q.variant}/{len(q.values)} does not match "
             f"index {index.variant}/{index.matrix.shape[1]}"
         )
-    db_zero = ~np.any(index.matrix, axis=1)
+    k = min(max(0, k), len(index))
+    if k == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     if q.is_zero():
-        dist = np.full(len(index), ZERO_VECTOR_DISTANCE)
-    else:
-        diff = index.matrix - q.values
-        dist = np.einsum("ij,ij->i", diff, diff)
-        dist[db_zero] = ZERO_VECTOR_DISTANCE
-    order = np.lexsort((index.frame_ids, dist, db_zero))
-    return dist, order
+        rows = np.lexsort((index.frame_ids, index.zero_rows))[:k]
+        return rows, np.full(k, ZERO_VECTOR_DISTANCE)
+
+    # One GEMV ranks every row by ||d||^2 - 2 d.q + ||q||^2; only rows that
+    # may be among the k best are then recomputed exactly.  With u = 2^-53,
+    # m = dim + 2 and R = max ||d|| + ||q||, the standard dot-product bound
+    # |fl(x.y) - x.y| <= gamma_m sum |x_i y_i|, gamma_m = m u / (1 - m u),
+    # holds for every summation order, hence for any BLAS blocking or thread
+    # count.  Summed over the three terms it puts the GEMV value within
+    # gamma_m R^2 of the true distance; the exact sum of squared differences
+    # is also within gamma_m R^2 of it, so the two differ by at most
+    # delta = 2 gamma_m R^2.  The k-th best exact distance is then at most
+    # (k-th best GEMV value) + delta, and every row at or below it has a GEMV
+    # value at most (k-th best GEMV value) + 2 delta: that is the margin.
+    # For unit rows at dim 65,536 gamma_m is 7.3e-12 and the margin 1.2e-10.
+    qv = q.values
+    qq = float(qv @ qv)
+    approx = index.sq_norms - 2.0 * (index.matrix @ qv) + qq
+    approx[index.zero_rows] = np.inf
+    mu = (index.matrix.shape[1] + 2) * np.finfo(np.float64).eps / 2  # m u
+    gamma = mu / (1.0 - mu)
+    reach = float(np.sqrt(index.sq_norms.max())) + np.sqrt(qq)
+    kth = np.partition(approx, k - 1)[k - 1]
+    cand = np.flatnonzero(~(approx > kth + 4.0 * gamma * reach * reach))
+
+    zero = index.zero_rows[cand]
+    dist = np.full(len(cand), ZERO_VECTOR_DISTANCE)
+    # A row sum over axis 1 gives each row the same bits whatever rows come
+    # with it (einsum does not: on a single 65,536-wide row it sums in
+    # buffered chunks), so top-1 and top-k report identical distances.
+    diff = index.matrix[cand[~zero]]  # a copy: square it in place
+    diff -= qv
+    diff *= diff
+    dist[~zero] = diff.sum(axis=1)
+    order = np.lexsort((index.frame_ids[cand], dist, zero))[:k]
+    return cand[order], dist[order]
 
 
 def query_top1(index: RetrievalIndex, q: GlobalEmbedding) -> tuple[int, float]:
     """Closest database frame by squared Euclidean distance between unit
     embeddings; ties broken by the lowest frame id."""
-    dist, order = _ranked(index, q)
-    best = order[0]
-    return int(index.frame_ids[best]), float(dist[best])
+    rows, dist = _ranked(index, q, 1)
+    return int(index.frame_ids[rows[0]]), float(dist[0])
 
 
 def query_topk(index: RetrievalIndex, q: GlobalEmbedding, k: int) -> list[tuple[int, float]]:
-    dist, order = _ranked(index, q)
-    return [(int(index.frame_ids[i]), float(dist[i])) for i in order[: max(0, k)]]
+    rows, dist = _ranked(index, q, k)
+    return [(int(index.frame_ids[r]), float(v)) for r, v in zip(rows, dist)]
 
 
 # --- vocabulary / embedding files -------------------------------------------------

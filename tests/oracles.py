@@ -97,3 +97,40 @@ def fast_segment_test(gray: np.ndarray, row: int, col: int, threshold: int) -> b
             if run >= 9:
                 return True
     return False
+
+
+def gnc_start_scalar(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost):
+    """GNC start pose by the original per-hypothesis loop: one umeyama fit
+    and one residual pass per seeded 3-point hypothesis, in draw order,
+    keeping a hypothesis only when its truncated cost is strictly lower."""
+    from pointloc import registration as reg
+
+    pose = reg.umeyama(q, d)
+    best_cost = truncated_cost(reg._residuals(pose, q, d) ** 2)
+    hyp_rng = np.random.default_rng(reg._GNC_INIT_SEED)
+    for _ in range(reg.GNC_INIT_HYPOTHESES):
+        idx = hyp_rng.choice(len(q), size=3, replace=False)
+        try:
+            cand = reg.umeyama(q[idx], d[idx])
+        except reg.DegenerateConfigurationError:
+            continue
+        cost = truncated_cost(reg._residuals(cand, q, d) ** 2)
+        if cost < best_cost:
+            pose, best_cost = cand, cost
+    return pose
+
+
+def scan_ranked(matrix: np.ndarray, frame_ids, q: np.ndarray) -> list[tuple[int, float]]:
+    """Every frame as (frame_id, distance) in rank order, one row at a time.
+
+    Distance is the sum of the squared difference to the query; an all-zero
+    row or query scores 2.0.  Zero rows rank after all others, then distance,
+    then frame id."""
+    q_zero = not np.any(q)
+    keyed = []
+    for row, fid in zip(matrix, frame_ids):
+        zero = not np.any(row)
+        dist = 2.0 if zero or q_zero else float(np.sum((row - q) ** 2))
+        keyed.append((zero, dist, int(fid)))
+    keyed.sort()
+    return [(fid, dist) for _, dist, fid in keyed]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, main
+from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, main
 from pointloc.evaluation import parse_recall_csv
 
 CONFIG_TEXT = """\
@@ -127,6 +127,42 @@ class TestLocalizeAndEvaluate:
             ["evaluate", "--results", str(empty), "--dataset", str(workspace["dataset"])]
         )
         assert rc == EXIT_EVAL
+
+
+class TestTrainVocabK:
+    @staticmethod
+    def run(dataset, tmp_path, k):
+        return main(
+            ["train-vocab", "--dataset", str(dataset), "--k", str(k),
+             "--seed", "0", "--out", str(tmp_path / "vocab.bin")]
+        )
+
+    # k < 1 is rejected before the dataset is read: the path does not exist.
+    def test_zero_k_is_usage_error(self, tmp_path, capsys):
+        assert self.run(tmp_path / "missing", tmp_path, 0) == EXIT_USAGE
+        assert "--k must be at least 1" in capsys.readouterr().err
+
+    def test_negative_k_is_usage_error(self, tmp_path, capsys):
+        assert self.run(tmp_path / "missing", tmp_path, -1) == EXIT_USAGE
+        assert "--k must be at least 1" in capsys.readouterr().err
+
+    def test_k_above_descriptor_count_is_data_error(self, workspace, tmp_path, capsys):
+        assert self.run(workspace["dataset"], tmp_path, 100000) == EXIT_DATA
+        assert "need at least k=100000 descriptors" in capsys.readouterr().err
+        assert not (tmp_path / "vocab.bin").exists()
+
+
+class TestCorruptDatabase:
+    def test_truncated_database_is_data_error(self, workspace, tmp_path, capsys):
+        data = workspace["db"].read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(data[: len(data) // 2])
+        rc = main(
+            ["localize", "--db", str(cut), "--dataset", str(workspace["dataset"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert rc == EXIT_DATA
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestBench:

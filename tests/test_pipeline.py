@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from pointloc.dataset import GenerationParams, generate_scene_dataset
 from pointloc.geometry import Pose, compose, inverse, rotation_error, translation_error
 from pointloc.pipeline import (
+    DatabaseFormatError,
     LocalizationResult,
     PipelineConfig,
     StageTimings,
@@ -321,6 +324,47 @@ class TestDatabaseFile:
         (tmp_path / "x.bin").write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_database(tmp_path / "x.bin")
+
+    @staticmethod
+    def load_error(path, seconds=30.0):
+        """The exception load_database raises on path, failing the test if
+        the call has not returned within the time bound."""
+        box = {}
+
+        def run():
+            try:
+                load_database(path)
+            except Exception as e:  # reported to the test below
+                box["error"] = e
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(seconds)
+        assert not worker.is_alive(), f"load_database({path}) still running after {seconds}s"
+        return box.get("error")
+
+    def test_truncation_is_format_error(self, db, tmp_path):
+        save_database(db, tmp_path / "db.bin")
+        data = (tmp_path / "db.bin").read_bytes()
+        pose_start = 69 + 40 * db.vocabulary.k + 8  # fixed header, then frame 0 ids
+        pose_end = data.index(b"\n", pose_start) + 1
+        cuts = [0, 2, 4, 8, 9, 30, 60, pose_start - 4, pose_start, pose_start + 20,
+                pose_end - 1, pose_end, pose_end + 2, pose_end + 4 + 100, len(data) - 1]
+        for cut in cuts:
+            (tmp_path / "cut.bin").write_bytes(data[:cut])
+            error = self.load_error(tmp_path / "cut.bin")
+            assert isinstance(error, DatabaseFormatError), (cut, error)
+
+    def test_unknown_variant_and_trailing_bytes_rejected(self, db, tmp_path):
+        save_database(db, tmp_path / "db.bin")
+        data = (tmp_path / "db.bin").read_bytes()
+        assert data[8] == 1  # vlad
+        (tmp_path / "variant.bin").write_bytes(data[:8] + b"\x02" + data[9:])
+        with pytest.raises(DatabaseFormatError, match="variant"):
+            load_database(tmp_path / "variant.bin")
+        (tmp_path / "long.bin").write_bytes(data + b"\x00")
+        with pytest.raises(DatabaseFormatError, match="after the last frame"):
+            load_database(tmp_path / "long.bin")
 
     def test_localize_from_loaded_database(self, dataset, db, tmp_path):
         save_database(db, tmp_path / "db.bin")

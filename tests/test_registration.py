@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
+from oracles import gnc_start_scalar
+
+from pointloc import registration
 
 from pointloc.geometry import (
     Pose,
@@ -245,6 +248,81 @@ class TestGncTls:
             if translation_error(res.pose, gt) < 0.02 and rotation_error(res.pose, gt) < 1.0:
                 passes += 1
         assert passes >= 19
+
+    @staticmethod
+    def solve_both(q, d, monkeypatch):
+        """gnc_tls_register as is, and with the per-hypothesis start loop."""
+        outcomes = []
+        for start in (None, gnc_start_scalar):
+            with monkeypatch.context() as m:
+                if start is not None:
+                    m.setattr(registration, "_gnc_start", start)
+                try:
+                    outcomes.append(gnc_tls_register(q, d, noise_bound=0.05))
+                except RegistrationFailedError as e:
+                    outcomes.append(str(e))
+        return outcomes
+
+    @staticmethod
+    def equivalence_cases():
+        rng = np.random.default_rng(77)
+        for i in range(48):
+            n = (3, 4, 6, 12, 40, 90)[i % 6]
+            outliers = (0.0, 0.2, 0.4, 0.6, 0.8)[i % 5]
+            noise = 0.0 if i % 3 else 0.01  # noiseless inliers tie at one cost
+            _, q, d, _ = corrupted_correspondences(rng, n, outliers, noise)
+            if i % 4 == 1 and n > 3:  # repeated points make degenerate hypotheses
+                rep = rng.choice(n, size=n // 3, replace=False)
+                q[rep], d[rep] = q[rep[0]], d[rep[0]]
+            yield q, d
+
+    def test_start_selection_matches_per_hypothesis_loop(self, monkeypatch):
+        compared = 0
+        for q, d in self.equivalence_cases():
+            try:
+                got, want = self.solve_both(q, d, monkeypatch)
+            except DegenerateConfigurationError:
+                continue  # the all-point fit comes first and is shared
+            compared += 1
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+            r, w = got.pose.rotation, want.pose.rotation
+            assert (r.w, r.x, r.y, r.z) == (w.w, w.x, w.y, w.z)
+            assert np.array_equal(got.inlier_indices, want.inlier_indices)
+            assert got.residual_history == want.residual_history
+            assert got.iterations == want.iterations
+            assert got.mean_inlier_residual == want.mean_inlier_residual
+        assert compared >= 40
+
+    def test_start_selection_at_degeneracy_threshold(self, monkeypatch):
+        """n = 3 with the third point moved off the line just far enough that
+        umeyama stops calling the triple collinear: every start hypothesis
+        sits within rounding of DEGENERACY_RTOL."""
+        gt = Pose(UnitQuaternion.from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
+
+        def triple(h):
+            q = np.array([[1.3, -0.7, 2.1], [2.3, -0.7, 2.1], [1.8, -0.7 + h, 2.1]])
+            return q, transform_points(gt, q)
+
+        def degenerate(h):
+            try:
+                umeyama(*triple(h))
+            except DegenerateConfigurationError:
+                return True
+            return False
+
+        lo, hi = 1e-12, 1e-3
+        assert degenerate(lo) and not degenerate(hi)
+        while True:
+            mid = np.sqrt(lo * hi) if hi / lo > 1.0001 else 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if degenerate(mid) else (lo, mid)
+        got, want = self.solve_both(*triple(hi), monkeypatch)
+        assert got.residual_history == want.residual_history
+        assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
 
     def test_invalid_noise_bound(self, rng):
         q = make_cloud(rng, 10)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import hamming
+from oracles import hamming, scan_ranked
 
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
@@ -253,12 +255,94 @@ class TestQueries:
         fid, dist = query_top1(only_zero, q)
         assert fid == 5 and dist == 2.0
 
+    def test_row_whose_norm_underflows_is_not_zero(self):
+        zero = GlobalEmbedding(np.zeros(2), VARIANT_BOW)
+        tiny = GlobalEmbedding(np.array([1e-200, 0.0]), VARIANT_BOW)  # squares to 0
+        q = GlobalEmbedding(np.array([0.0, 1.0]), VARIANT_BOW)
+        index = build_index([0, 1], [zero, tiny])
+        assert query_topk(index, q, 2) == [(1, 1.0), (0, 2.0)]
+
     def test_zero_query_ranks_by_frame_id(self, rng):
         embs = [unit_embedding(rng, dim=4) for _ in range(3)]
         index = build_index([7, 3, 9], embs)
         q = GlobalEmbedding(np.zeros(4), VARIANT_BOW)
         fid, dist = query_top1(index, q)
         assert fid == 3 and dist == 2.0
+
+
+@st.composite
+def tie_heavy_index(draw):
+    """Index rows and a query built to stress the exact ranking: duplicate
+    rows under other frame ids, copies moved by a few ulps in one component,
+    zero rows, and queries that equal, nearly equal or miss every row."""
+    dim = draw(st.integers(1, 6))
+    component = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    n_base = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n_base):
+        v = np.array(draw(st.lists(component, min_size=dim, max_size=dim)))
+        norm = np.linalg.norm(v)
+        rows.append(v / norm if norm > 0 else v)
+
+    def nudged(v):
+        v = v.copy()
+        c = draw(st.integers(0, dim - 1))
+        toward = np.inf if draw(st.booleans()) else -np.inf
+        for _ in range(draw(st.integers(1, 3))):
+            v[c] = np.nextafter(v[c], toward)
+        return v
+
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("duplicate", "ulps", "zero")))
+        base = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append(base.copy() if kind == "duplicate" else nudged(base) if kind == "ulps" else np.zeros(dim))
+    frame_ids = draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows), unique=True))
+    kind = draw(st.sampled_from(("row", "ulps", "zero", "free")))
+    if kind == "free":
+        q = np.array(draw(st.lists(component, min_size=dim, max_size=dim)))
+    else:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        q = row.copy() if kind == "row" else nudged(row) if kind == "ulps" else np.zeros(dim)
+    return np.array(rows), frame_ids, q
+
+
+class TestScanEquivalence:
+    """query_top1 / query_topk against a one-row-at-a-time brute-force scan,
+    compared with == on frame ids and distances."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_index(), st.randoms(use_true_random=False))
+    def test_matches_brute_force_scan(self, case, random):
+        matrix, frame_ids, q = case
+        embs = [GlobalEmbedding(r.copy(), VARIANT_VLAD) for r in matrix]
+        query = GlobalEmbedding(q.copy(), VARIANT_VLAD)
+        expected = scan_ranked(matrix, frame_ids, q)
+        index = build_index(frame_ids, embs)
+        assert query_top1(index, query) == expected[0]
+        for k in range(len(expected) + 2):
+            assert query_topk(index, query, k) == expected[:k]
+        perm = list(range(len(frame_ids)))
+        random.shuffle(perm)
+        shuffled = build_index([frame_ids[i] for i in perm], [embs[i] for i in perm])
+        assert query_topk(shuffled, query, len(expected)) == expected
+
+    def test_full_width_rows(self, rng):
+        """At the VLAD width (k = 256 words) a single-row einsum sums in other
+        chunks than a many-row one; top-1 and top-k must still agree."""
+        dim = 256 * DESCRIPTOR_BITS
+        matrix = rng.normal(size=(6, dim))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        matrix[2] = matrix[4]
+        matrix[5, 7] = np.nextafter(matrix[4, 7], np.inf)
+        matrix[3] = 0.0
+        ids = [40, 11, 30, 12, 20, 5]
+        index = build_index(ids, [GlobalEmbedding(r.copy(), VARIANT_VLAD) for r in matrix])
+        for q in (matrix[4], matrix[5], matrix[0] + 1e-3 * matrix[1], np.zeros(dim)):
+            query = GlobalEmbedding(q.copy(), VARIANT_VLAD)
+            expected = scan_ranked(matrix, ids, q)
+            assert query_top1(index, query) == expected[0]
+            for k in range(1, 7):
+                assert query_topk(index, query, k) == expected[:k]
 
 
 class TestFiles:
