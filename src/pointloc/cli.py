@@ -31,11 +31,16 @@ def main(argv: list[str] | None = None) -> int:
     from pointloc.dataset import DatasetFormatError
     from pointloc.evaluation import EvaluationError
     from pointloc.pipeline import DatabaseFormatError
-    from pointloc.retrieval import InsufficientDataError
+    from pointloc.retrieval import InsufficientDataError, VocabularyFormatError
 
     try:
         return args.func(args)
-    except (DatasetFormatError, DatabaseFormatError, InsufficientDataError) as e:
+    except (
+        DatasetFormatError,
+        DatabaseFormatError,
+        VocabularyFormatError,
+        InsufficientDataError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except EvaluationError as e:

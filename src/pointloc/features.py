@@ -261,23 +261,25 @@ def describe(gray: np.ndarray, keypoints: Keypoints) -> tuple[np.ndarray, np.nda
     return np.packbits(bits, axis=1), kept
 
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.uint8)
+def _words(descriptors: np.ndarray) -> np.ndarray:
+    """Descriptor rows as uint64 words, for one popcount per 64 bits."""
+    return np.ascontiguousarray(descriptors, dtype=np.uint8).view(np.uint64)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    return int(_POPCOUNT[np.bitwise_xor(a, b)].sum())
+    return int(np.bitwise_count(np.bitwise_xor(_words(a), _words(b))).sum())
 
 
 def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of Hamming distances between descriptor sets."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
+    a = _words(a)
+    b = _words(b)
     out = np.empty((len(a), len(b)), dtype=np.int32)
-    chunk = max(1, (1 << 23) // max(1, len(b) * DESCRIPTOR_BYTES))
+    chunk = max(1, (1 << 20) // max(1, b.size))
     for start in range(0, len(a), chunk):
         stop = min(start + chunk, len(a))
         xor = np.bitwise_xor(a[start:stop, None, :], b[None, :, :])
-        out[start:stop] = _POPCOUNT[xor].sum(axis=2, dtype=np.int32)
+        out[start:stop] = np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
     return out
 
 

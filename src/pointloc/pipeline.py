@@ -11,7 +11,6 @@ falls back to the retrieved pose itself (the retrieval-only baseline).
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from pointloc.binio import ExactReader
 from pointloc.dataset import PointGroup
 from pointloc.features import (
     DESCRIPTOR_BYTES,
@@ -88,11 +88,20 @@ class PipelineConfig:
             raise ValueError("min_matches must be at least 3")
 
 
+def _parse_bool(value: str) -> bool:
+    v = value.lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+
+
 _CONFIG_PARSERS = {
     "retrieval": str,
     "method": str,
     "ratio": float,
-    "mutual": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "mutual": _parse_bool,
     "min_matches": int,
     "max_keypoints": int,
     "fast_threshold": int,
@@ -102,7 +111,7 @@ _CONFIG_PARSERS = {
     "icp_iters": int,
     "icp_tol": float,
     "gnc_noise_bound": float,
-    "record_timings": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "record_timings": _parse_bool,
     "hardware": str,
 }
 
@@ -119,7 +128,10 @@ def parse_config(text: str) -> PipelineConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        kv[key] = _CONFIG_PARSERS[key](value)
+        try:
+            kv[key] = _CONFIG_PARSERS[key](value)
+        except ValueError as e:
+            raise ValueError(f"config key {key!r} on line {lineno}: {e}") from e
     return PipelineConfig(**kv)
 
 
@@ -511,43 +523,6 @@ class DatabaseFormatError(ValueError):
     """A database file that is truncated, corrupt or of another format."""
 
 
-class _DatabaseReader:
-    """Exact-length reads from an open database file: a field that runs past
-    the end of the file raises DatabaseFormatError naming the field, before
-    anything is allocated for it."""
-
-    def __init__(self, fh, path: str | Path):
-        self.fh = fh
-        self.path = path
-        self.left = os.fstat(fh.fileno()).st_size
-
-    def fail(self, message: str) -> DatabaseFormatError:
-        return DatabaseFormatError(f"{self.path}: {message}")
-
-    def read(self, n: int, what: str) -> bytes:
-        if n > self.left:
-            raise self.fail(f"truncated in {what}: need {n} bytes, {self.left} left")
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise self.fail(f"truncated in {what}")
-        self.left -= n
-        return data
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
-
-    def array(self, count: int, dtype, what: str) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.read(count * dtype.itemsize, what), dtype=dtype)
-
-    def line(self, limit: int, what: str) -> bytes:
-        data = self.fh.readline(min(limit, self.left))
-        self.left -= len(data)
-        if not data.endswith(b"\n"):
-            raise self.fail(f"unterminated {what}")
-        return data
-
-
 _POSE_LINE_LIMIT = 512  # a pose is 7 numbers in at most 25 characters each
 
 
@@ -555,7 +530,7 @@ def load_database(path: str | Path) -> LocalizationDatabase:
     from pointloc.render import DEPTH_LEVELS
 
     with open(path, "rb") as fh:
-        r = _DatabaseReader(fh, path)
+        r = ExactReader(fh, path, DatabaseFormatError)
         if r.read(4, "magic") != _DB_MAGIC:
             raise r.fail("not a localization database file")
         (version,) = r.unpack(">I", "version")
@@ -605,8 +580,7 @@ def load_database(path: str | Path) -> LocalizationDatabase:
                     embedding=GlobalEmbedding(emb, variant),
                 )
             )
-        if r.left:
-            raise r.fail(f"{r.left} bytes after the last frame")
+        r.expect_end("the last frame")
     index = build_index([f.frame_id for f in frames], [f.embedding for f in frames])
     return LocalizationDatabase(tuple(frames), vocab, index, intrinsics, variant)
 

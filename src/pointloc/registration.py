@@ -111,6 +111,113 @@ def _residuals(pose: Pose, q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(transform_points(pose, q) - d, axis=1)
 
 
+def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 3) index triples, the same ones and in the same order as count
+    calls of rng.choice(n, size=3, replace=False), leaving rng in the same state.
+
+    For three of n, numpy 2's choice always runs Floyd's algorithm (its
+    tail-shuffle path needs n > 10000 and 3 > n // 50) with j = n-3, n-2, n-1:
+    draw v in [0, j], take j instead when v was taken already; then it
+    shuffles the triple with two Fisher-Yates draws (positions 2 and 1, each
+    swapped with a draw in [0, i]).  Those five bounded draws per triple come
+    from one integers() call, in the same order, then run as array operations.
+    """
+    bounds = np.array([n - 3, n - 2, n - 1, 2, 1], dtype=np.int64)
+    a, b, c, j2, j1 = rng.integers(0, np.tile(bounds, (count, 1)), endpoint=True).T
+    b = np.where(b == a, n - 2, b)
+    c = np.where((c == a) | (c == b), n - 1, c)
+    triples = np.stack([a, b, c], axis=1)
+    rows = np.arange(count)
+    for i, j in ((2, j2), (1, j1)):
+        moved = triples[rows, j]
+        triples[rows, j] = triples[:, i]
+        triples[:, i] = moved
+    return triples
+
+
+# Rounding-step cover of the stacked-fit bounds (see _kabsch_stack).
+_ROUNDING_STEPS = 1024
+_C_U = _ROUNDING_STEPS * np.finfo(np.float64).eps / 2  # eps / 2 = u
+
+
+def _kabsch_stack(q: np.ndarray, d: np.ndarray, idx: np.ndarray):
+    """Every 3-point hypothesis idx (H, 3) fitted at once by a stacked Kabsch
+    solve, with the bounds within which umeyama on the same triple can differ.
+
+    Returns (res2, fitted, undecided, dr): the (H, n) squared residuals of
+    every fit over all n points; the hypotheses umeyama certainly fits, and
+    those it may or may not reject as degenerate (it certainly rejects the
+    rest); and dr (H,), a bound on how far any residual of a fitted
+    hypothesis lies from the one umeyama's pose gives.
+
+    The stacked fit differs from umeyama only by rounding.  With u = 2^-53
+    and L the largest query plus the largest db point norm, every rounding
+    step of either fit moves the cross-covariance and its singular values by
+    at most about u L^2; c = _ROUNDING_STEPS covers the steps of both fits
+    many times over, so dh = c u L^2 bounds the difference of the two
+    singular values and of the degeneracy margin (by 2 dh).  The rotation of
+    a rank-2 Kabsch problem moves by at most 2 dh / s1 (s1 the second
+    singular value), plus c u for forming it; a residual then moves by at
+    most dr = 2 (rho + c u) L.
+    """
+    q3, d3 = q[idx], d[idx]  # (H, 3, 3)
+    qc, dc = q3.mean(axis=1), d3.mean(axis=1)
+    cov = np.einsum("hni,hnj->hij", q3 - qc[:, None], d3 - dc[:, None]) / 3.0
+    u, s, vt = np.linalg.svd(cov)
+    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    vt[:, 2] *= sign[:, None]
+    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
+    trans = dc - np.einsum("hij,hj->hi", rot, qc)
+    res = q @ np.swapaxes(rot, 1, 2) + trans[:, None] - d  # (H, n, 3)
+    res2 = np.einsum("hni,hni->hn", res, res)
+
+    scale = float(np.linalg.norm(q, axis=1).max() + np.linalg.norm(d, axis=1).max())
+    dh = _C_U * scale * scale
+    gap = s[:, 1] - DEGENERACY_RTOL * np.maximum(s[:, 0], 1e-300)
+    fitted = gap > 2.0 * dh
+    undecided = ~(fitted | (gap < -2.0 * dh))  # also NaN: left to umeyama
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = 2.0 * dh / (s[:, 1] - dh) + _C_U
+    dr = 2.0 * (rho + _C_U) * scale
+    return res2, fitted, undecided, dr
+
+
+# Hypotheses per stacked RANSAC chunk: the first chunk, doubled for each
+# next one, and at most _RANSAC_CHUNK_POINTS // n so that the (H, n, 3)
+# residual array stays at a few MB.
+_RANSAC_FIRST_CHUNK = 64
+_RANSAC_CHUNK_POINTS = 1 << 17
+
+
+def _ransac_hypotheses(q, d, inlier_threshold, max_iters, rng):
+    """(triple, consensus size) of the hypotheses rng.choice would draw, in
+    draw order, max_iters of them; a degenerate triple has size 0.
+
+    Sizes come chunk by chunk from _kabsch_stack; a hypothesis with a
+    residual within dr of the threshold, or an undecided degeneracy, is
+    fitted again by umeyama and counted as before.
+    """
+    n = len(q)
+    drawn, chunk = 0, _RANSAC_FIRST_CHUNK
+    while drawn < max_iters:
+        count = min(chunk, max(1, _RANSAC_CHUNK_POINTS // n), max_iters - drawn)
+        idx = _draw_triples(rng, n, count)
+        res2, fitted, undecided, dr = _kabsch_stack(q, d, idx)
+        res = np.sqrt(res2)
+        sizes = np.where(fitted, (res < inlier_threshold).sum(axis=1), 0)
+        near = (np.abs(res - inlier_threshold) <= dr[:, None]).any(axis=1)
+        for h in np.flatnonzero(undecided | (fitted & near)):
+            try:
+                hyp = umeyama(q[idx[h]], d[idx[h]])
+            except DegenerateConfigurationError:
+                sizes[h] = 0
+                continue
+            sizes[h] = (_residuals(hyp, q, d) < inlier_threshold).sum()
+        yield from zip(idx, sizes.tolist())
+        drawn += count
+        chunk *= 2
+
+
 def ransac_register(
     p_query: np.ndarray,
     p_db: np.ndarray,
@@ -132,28 +239,22 @@ def ransac_register(
     rng = np.random.default_rng(seed)
 
     best_size = 0
-    best_mask: np.ndarray | None = None
-    best_pose: Pose | None = None
+    best_idx: np.ndarray | None = None
     iterations = 0
-    for _ in range(max_iters):
+    for idx, size in _ransac_hypotheses(q, d, inlier_threshold, max_iters, rng):
         iterations += 1
-        idx = rng.choice(n, size=3, replace=False)
-        try:
-            hyp = umeyama(q[idx], d[idx])
-        except DegenerateConfigurationError:
-            continue
-        mask = _residuals(hyp, q, d) < inlier_threshold
-        size = int(mask.sum())
         if size > best_size:  # strictly greater keeps the earliest hypothesis on ties
-            best_size, best_mask, best_pose = size, mask, hyp
+            best_size, best_idx = size, idx
         if best_size >= 3 and best_size / n >= 0.9:
             break
 
-    if best_pose is None or best_size < 3:
+    if best_idx is None or best_size < 3:
         raise RegistrationFailedError(
             f"no hypothesis reached 3 inliers in {iterations} iterations"
         )
 
+    best_pose = umeyama(q[best_idx], d[best_idx])
+    best_mask = _residuals(best_pose, q, d) < inlier_threshold
     pose = best_pose
     try:
         pose = umeyama(q[best_mask], d[best_mask])
@@ -249,60 +350,25 @@ def _tls_weights(r2: np.ndarray, eps2: float, mu: float) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-# Rounding-step cover of the batched start-hypothesis bounds (see _gnc_start).
-_GNC_ROUNDING_STEPS = 1024
-
-
 def _gnc_start(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost) -> Pose:
     """Pose of the first start hypothesis with the lowest truncated cost.
 
     Same result, bit for bit, as fitting every 3-point hypothesis with
     umeyama in draw order, starting from the all-point fit and keeping a
     hypothesis only when its cost is strictly lower (so the earliest one wins
-    ties).  All hypotheses are fitted at once by a stacked Kabsch solve and
-    scored as one (H, n) residual array; then only those whose cost could be
-    the lowest, or whose degeneracy could go either way, are fitted again by
-    umeyama and scored as before, in draw order.
-
-    The stacked fit differs from umeyama only by rounding.  With u = 2^-53
-    and L the largest query plus the largest db point norm, every rounding
-    step of either fit moves the cross-covariance and its singular values by
-    at most about u L^2; c = _GNC_ROUNDING_STEPS covers the steps of both
-    fits many times over, so dh = c u L^2 bounds the difference of the two
-    singular values and of the degeneracy margin (by 2 dh).  The rotation of
-    a rank-2 Kabsch problem moves by at most 2 dh / s1 (s1 the second
-    singular value), plus c u for forming it; a residual then moves by at
-    most dr = 2 (rho + c u) L, and a truncated cost term min(r^2/eps^2, 1)
-    by dr (2 eps + 3 dr) / eps^2 plus rounding: err bounds the cost gap.
+    ties).  All hypotheses are fitted at once by _kabsch_stack and scored as
+    one (H, n) cost array; then only those whose cost could be the lowest, or
+    whose degeneracy could go either way, are fitted again by umeyama and
+    scored as before, in draw order.  With dr the residual bound of
+    _kabsch_stack, a truncated cost term min(r^2/eps^2, 1) moves by at most
+    dr (2 eps + 3 dr) / eps^2 plus rounding: err bounds the cost gap.
     """
     pose = umeyama(q, d)
     best_cost = truncated_cost(_residuals(pose, q, d) ** 2)
-    hyp_rng = np.random.default_rng(_GNC_INIT_SEED)
-    idx = np.array(
-        [hyp_rng.choice(len(q), size=3, replace=False) for _ in range(GNC_INIT_HYPOTHESES)]
-    )
-
-    q3, d3 = q[idx], d[idx]  # (H, 3, 3)
-    qc, dc = q3.mean(axis=1), d3.mean(axis=1)
-    cov = np.einsum("hni,hnj->hij", q3 - qc[:, None], d3 - dc[:, None]) / 3.0
-    u, s, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-    vt[:, 2] *= sign[:, None]
-    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
-    trans = dc - np.einsum("hij,hj->hi", rot, qc)
-    res = np.einsum("hij,nj->hni", rot, q) + trans[:, None] - d
-    cost = np.minimum(np.einsum("hni,hni->hn", res, res) / eps2, 1.0).sum(axis=1)
-
-    c_u = _GNC_ROUNDING_STEPS * np.finfo(np.float64).eps / 2  # eps / 2 = u
-    scale = float(np.linalg.norm(q, axis=1).max() + np.linalg.norm(d, axis=1).max())
-    dh = c_u * scale * scale
-    gap = s[:, 1] - DEGENERACY_RTOL * np.maximum(s[:, 0], 1e-300)
-    undecided = np.abs(gap) <= 2.0 * dh
-    fitted = gap > 2.0 * dh
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = 2.0 * dh / (s[:, 1] - dh) + c_u
-    dr = 2.0 * (rho + c_u) * scale
-    err = len(q) * (dr * (2.0 * np.sqrt(eps2) + 3.0 * dr) / eps2 + c_u)
+    idx = _draw_triples(np.random.default_rng(_GNC_INIT_SEED), len(q), GNC_INIT_HYPOTHESES)
+    res2, fitted, undecided, dr = _kabsch_stack(q, d, idx)
+    cost = np.minimum(res2 / eps2, 1.0).sum(axis=1)
+    err = len(q) * (dr * (2.0 * np.sqrt(eps2) + 3.0 * dr) / eps2 + _C_U)
     lowest = np.min(np.where(fitted, cost + err, np.inf))
     rescore = undecided | (fitted & (cost - err <= lowest))
 

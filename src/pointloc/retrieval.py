@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from pointloc.binio import ExactReader
 from pointloc.features import DESCRIPTOR_BITS, DESCRIPTOR_BYTES, hamming_matrix
 
 ZERO_VECTOR_DISTANCE = 2.0  # distance assigned to/from all-zero embeddings
@@ -316,14 +317,22 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(vocab.idf, dtype=">f8").tobytes())
 
 
+class VocabularyFormatError(ValueError):
+    """A vocabulary file that is truncated, corrupt or of another format."""
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     with open(path, "rb") as fh:
-        k, bits, seed = struct.unpack(">IIq", fh.read(16))
+        r = ExactReader(fh, path, VocabularyFormatError)
+        k, bits, seed = r.unpack(">IIq", "header")
         if bits != DESCRIPTOR_BITS:
-            raise ValueError(f"{path}: vocabulary stores {bits}-bit words, expected {DESCRIPTOR_BITS}")
-        centroids = np.frombuffer(fh.read(k * DESCRIPTOR_BYTES), dtype=np.uint8).reshape(k, DESCRIPTOR_BYTES)
-        idf = np.frombuffer(fh.read(k * 8), dtype=">f8").astype(np.float64)
-    return Vocabulary(k, centroids.copy(), idf, seed)
+            raise r.fail(f"vocabulary stores {bits}-bit words, expected {DESCRIPTOR_BITS}")
+        if k == 0:
+            raise r.fail("vocabulary has no words")
+        centroids = r.array(k * DESCRIPTOR_BYTES, np.uint8, "centroids")
+        idf = r.array(k, ">f8", "idf weights").astype(np.float64)
+        r.expect_end("the idf weights")
+    return Vocabulary(k, centroids.reshape(k, DESCRIPTOR_BYTES).copy(), idf, seed)
 
 
 def dump_embeddings(embeddings: Sequence[GlobalEmbedding], path: str | Path) -> None:

@@ -120,6 +120,64 @@ def gnc_start_scalar(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost):
     return pose
 
 
+def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):
+    """ransac_register by the original per-hypothesis loop: one
+    rng.choice draw, one umeyama fit and one residual pass per hypothesis."""
+    from pointloc import registration as reg
+
+    q = reg._as_points(p_query, "p_query")
+    d = reg._as_points(p_db, "p_db")
+    if q.shape != d.shape:
+        raise ValueError("point sets must have equal shapes")
+    n = len(q)
+    if n < 3:
+        raise reg.InsufficientPointsError(f"need at least 3 correspondences, got {n}")
+    if inlier_threshold <= 0:
+        raise ValueError("inlier_threshold must be positive")
+    rng = np.random.default_rng(seed)
+
+    best_size = 0
+    best_mask = None
+    best_pose = None
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        idx = rng.choice(n, size=3, replace=False)
+        try:
+            hyp = reg.umeyama(q[idx], d[idx])
+        except reg.DegenerateConfigurationError:
+            continue
+        mask = reg._residuals(hyp, q, d) < inlier_threshold
+        size = int(mask.sum())
+        if size > best_size:  # strictly greater keeps the earliest hypothesis on ties
+            best_size, best_mask, best_pose = size, mask, hyp
+        if best_size >= 3 and best_size / n >= 0.9:
+            break
+
+    if best_pose is None or best_size < 3:
+        raise reg.RegistrationFailedError(
+            f"no hypothesis reached 3 inliers in {iterations} iterations"
+        )
+
+    pose = best_pose
+    try:
+        pose = reg.umeyama(q[best_mask], d[best_mask])
+    except reg.DegenerateConfigurationError:
+        pass  # keep the minimal-sample pose
+    mask = reg._residuals(pose, q, d) < inlier_threshold
+    if mask.sum() < 3:
+        pose, mask = best_pose, best_mask
+    residuals = reg._residuals(pose, q, d)
+    inliers = np.nonzero(mask)[0]
+    return reg.RegistrationResult(
+        pose=pose,
+        inlier_indices=inliers,
+        iterations=iterations,
+        converged=True,
+        mean_inlier_residual=float(residuals[inliers].mean()),
+    )
+
+
 def scan_ranked(matrix: np.ndarray, frame_ids, q: np.ndarray) -> list[tuple[int, float]]:
     """Every frame as (frame_id, distance) in rank order, one row at a time.
 

@@ -165,6 +165,21 @@ class TestCorruptDatabase:
         assert "truncated" in capsys.readouterr().err
 
 
+class TestCorruptVocabulary:
+    def test_truncated_vocabulary_is_data_error(self, workspace, tmp_path, capsys):
+        data = workspace["vocab"].read_bytes()
+        for cut in (10, len(data) - 3):
+            (tmp_path / "cut.bin").write_bytes(data[:cut])
+            rc = main(
+                ["build-db", "--dataset", str(workspace["dataset"]),
+                 "--vocab", str(tmp_path / "cut.bin"), "--config", str(workspace["config"]),
+                 "--out", str(tmp_path / "db.bin")]
+            )
+            assert rc == EXIT_DATA
+            assert "truncated" in capsys.readouterr().err
+        assert not (tmp_path / "db.bin").exists()
+
+
 class TestBench:
     def test_timing_table(self, workspace, capsys):
         rc = main(
@@ -199,3 +214,14 @@ class TestUsageErrors:
              "--out", str(tmp_path / "db.bin")]
         )
         assert rc == 2
+
+    def test_bad_boolean_config_value_is_usage_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("retrieval = bow\nmutual = maybe\n")
+        rc = main(
+            ["build-db", "--dataset", str(workspace["dataset"]),
+             "--vocab", str(workspace["vocab"]), "--config", str(bad),
+             "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_USAGE
+        assert "'mutual' on line 2" in capsys.readouterr().err

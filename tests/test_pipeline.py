@@ -83,6 +83,16 @@ class TestConfig:
         cfg = parse_config("# comment\n\nratio = 0.7  # inline\n")
         assert cfg.ratio == 0.7
 
+    def test_boolean_values(self):
+        for text, want in (("1", True), ("true", True), ("Yes", True), ("ON", True),
+                           ("0", False), ("FALSE", False), ("no", False), ("Off", False)):
+            cfg = parse_config(f"mutual = {text}\nrecord_timings = {text}\n")
+            assert cfg.mutual is want and cfg.record_timings is want
+        for key in ("mutual", "record_timings"):
+            for text in ("", "2", "treu", "y", "disabled"):
+                with pytest.raises(ValueError, match=f"'{key}' on line 2"):
+                    parse_config(f"ratio = 0.7\n{key} = {text}\n")
+
 
 class TestBuildDatabase:
     def test_six_frames_per_point(self, dataset, db):

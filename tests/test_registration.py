@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pose
-from oracles import gnc_start_scalar
+from oracles import gnc_start_scalar, ransac_scalar
 
 from pointloc import registration
 
@@ -20,6 +22,7 @@ from pointloc.geometry import (
 from pointloc.registration import (
     DegenerateConfigurationError,
     InsufficientPointsError,
+    RegistrationError,
     RegistrationFailedError,
     correspondences_from_text,
     correspondences_to_text,
@@ -173,6 +176,101 @@ class TestRansac:
         q = make_cloud(rng, 50)
         res = ransac_register(q, transform_points(gt, q), seed=1)
         assert res.iterations < 50
+
+
+def assert_same_result(got, want):
+    """Bit-identical registration results, or identical failures."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+    r, w = got.pose.rotation, want.pose.rotation
+    assert (r.w, r.x, r.y, r.z) == (w.w, w.x, w.y, w.z)
+    assert np.array_equal(got.inlier_indices, want.inlier_indices)
+    assert got.iterations == want.iterations
+    assert got.mean_inlier_residual == want.mean_inlier_residual
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except RegistrationError as e:
+        return e
+
+
+class TestRansacEquivalence:
+    """ransac_register against the per-hypothesis loop it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 90),
+        outliers=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]),
+        kind=st.sampled_from(["plain", "noisy", "repeated", "collinear", "at_threshold"]),
+        max_iters=st.sampled_from([1, 2, 63, 64, 65, 193, 300, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_hypothesis_loop(self, n, outliers, kind, max_iters, seed):
+        rng = np.random.default_rng(seed)
+        _, q, d, _ = corrupted_correspondences(
+            rng, n, outliers, noise=0.01 if kind == "noisy" else 0.0
+        )
+        if kind == "repeated" and n > 3:  # repeated points make degenerate triples
+            rep = rng.choice(n, size=max(2, n // 3), replace=False)
+            q[rep], d[rep] = q[rep[0]], d[rep[0]]
+        if kind == "collinear":
+            q = np.outer(rng.uniform(-3.0, 3.0, n), rng.normal(size=3)) + rng.normal(size=3)
+        if kind == "at_threshold":  # residuals of the true pose exactly at the threshold
+            moved = rng.choice(n, size=(n + 1) // 2, replace=False)
+            step = rng.normal(size=(len(moved), 3))
+            d[moved] = d[moved] + 0.05 * step / np.linalg.norm(step, axis=1)[:, None]
+        got = outcome(ransac_register, q, d, 0.05, max_iters, seed)
+        want = outcome(ransac_scalar, q, d, 0.05, max_iters, seed)
+        assert_same_result(got, want)
+        if kind == "collinear":
+            assert isinstance(got, RegistrationFailedError)
+
+    def test_exit_at_first_iteration(self, rng):
+        gt = random_pose(rng)
+        q = make_cloud(rng, 30)
+        d = transform_points(gt, q)
+        d[:3] += 1.0  # 27 of 30 inliers: exactly 90%
+        iterations = []
+        for seed in range(20):
+            got = ransac_register(q, d, seed=seed)
+            assert_same_result(got, ransac_scalar(q, d, seed=seed))
+            iterations.append(got.iterations)
+        assert iterations.count(1) >= 10
+
+    def test_minimal_sample_pose_kept_when_refit_is_degenerate(self):
+        """Forty points on a line plus one just off it: the 3-point fits
+        through the off-line point are not degenerate, the refit on all 41
+        inliers is, so the winning 3-point pose itself is returned."""
+        gt = Pose(UnitQuaternion.from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
+        q = np.zeros((41, 3))
+        q[:40, 0] = np.linspace(-5.0, 5.0, 40)
+        q[40] = (0.3, 5e-4, 0.0)
+        d = transform_points(gt, q)
+        with pytest.raises(DegenerateConfigurationError):
+            umeyama(q, d)
+        for seed in range(5):
+            got = ransac_register(q, d, seed=seed)
+            assert_same_result(got, ransac_scalar(q, d, seed=seed))
+            assert len(got.inlier_indices) == 41 and got.iterations > 1
+
+
+class TestDrawTriples:
+    def test_matches_rng_choice(self):
+        sizes = [*range(3, 40), 63, 64, 65, 100, 255, 256, 257, 1000, 4095, 4096, 4999, 5000, 2**33]
+        for n in sizes:
+            for seed in range(8):
+                want_rng = np.random.default_rng([n % 997, seed])
+                got_rng = np.random.default_rng([n % 997, seed])
+                count = (1, 2, 64, 300)[seed % 4]
+                want = np.array([want_rng.choice(n, size=3, replace=False) for _ in range(count)])
+                got = registration._draw_triples(got_rng, n, count)
+                assert np.array_equal(got, want), (n, seed)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (n, seed)
 
 
 class TestIcp:

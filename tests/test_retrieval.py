@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from pointloc.retrieval import (
     VARIANT_BOW,
     VARIANT_VLAD,
     Vocabulary,
+    VocabularyFormatError,
     assign_words,
     build_index,
     dump_embeddings,
@@ -364,6 +367,36 @@ class TestFiles:
     def test_negative_seed_rejected(self, rng):
         with pytest.raises(ValueError):
             train_vocabulary([random_descriptors(rng, 20)], k=4, seed=-1)
+
+    def test_vocabulary_truncation_and_corruption_rejected(self, rng, tmp_path):
+        vocab = train_vocabulary([random_descriptors(rng, 20)], k=4, seed=3)
+        save_vocabulary(vocab, tmp_path / "v.bin")
+        data = (tmp_path / "v.bin").read_bytes()
+        bad = [data[:cut] for cut in range(len(data))]  # every cut point
+        bad += [
+            data + b"\x00",  # trailing byte
+            data[:4] + (128).to_bytes(4, "big") + data[8:],  # word width
+            (0).to_bytes(4, "big") + data[4:16],  # no words
+            (2**32 - 1).to_bytes(4, "big") + data[4:],  # k far past the end
+        ]
+        errors = []
+
+        def run():
+            for i, blob in enumerate(bad):
+                (tmp_path / "bad.bin").write_bytes(blob)
+                try:
+                    load_vocabulary(tmp_path / "bad.bin")
+                    errors.append((i, None))
+                except Exception as e:  # checked below
+                    errors.append((i, e))
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(30.0)
+        assert not worker.is_alive(), f"load_vocabulary still running after 30 s ({len(errors)} done)"
+        assert len(errors) == len(bad)
+        for i, error in errors:
+            assert isinstance(error, VocabularyFormatError), (i, error)
 
     def test_embeddings_round_trip(self, rng, tmp_path):
         embs = [unit_embedding(rng, dim=8) for _ in range(5)]
