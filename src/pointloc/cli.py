@@ -30,8 +30,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from pointloc.dataset import DatasetFormatError
     from pointloc.evaluation import EvaluationError
+    from pointloc.features import DescriptorFormatError
     from pointloc.pipeline import DatabaseFormatError
-    from pointloc.retrieval import InsufficientDataError, VocabularyFormatError
+    from pointloc.retrieval import (
+        EmbeddingFormatError,
+        InsufficientDataError,
+        VocabularyFormatError,
+    )
 
     try:
         return args.func(args)
@@ -39,6 +44,8 @@ def main(argv: list[str] | None = None) -> int:
         DatasetFormatError,
         DatabaseFormatError,
         VocabularyFormatError,
+        DescriptorFormatError,
+        EmbeddingFormatError,
         InsufficientDataError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

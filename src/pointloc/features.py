@@ -5,6 +5,14 @@ circle pixels brighter/darker than the center by a threshold) with 3x3
 non-maximum suppression.  Descriptors are 256 binary intensity comparisons on
 a 5x5 box-smoothed raster, with the sampling pattern rotated by the keypoint
 orientation (intensity centroid of a radius-15 patch), discretized to 30 bins.
+
+The segment test runs only on the pixels that pass a compass pre-test (the
+high-speed test of Rosten & Drummond, ECCV 2006).  The compass pixels are
+circle pixels 0, 4, 8 and 12, and any 9 contiguous circle pixels include two
+that are adjacent on the compass (0/4, 4/8, 8/12 or 12/0).  A pixel where no
+such pair is both brighter, or both darker, cannot be a corner, so skipping
+it changes no output: the corners, their scores and their order are those of
+the full test on every pixel.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
+
+from pointloc.binio import ExactReader
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
@@ -35,6 +44,8 @@ FAST_CIRCLE = np.array(
     ],
     dtype=np.int64,
 )  # (dx, dy)
+_COMPASS = [0, 4, 8, 12]  # FAST_CIRCLE indices straight up, right, down, left
+_CIRCLE_BITS = np.uint16(1) << np.arange(16, dtype=np.uint16)  # pixel i -> bit i of the arc code
 
 
 @dataclass(frozen=True)
@@ -96,43 +107,48 @@ def detect(gray: np.ndarray, max_keypoints: int = 1000, threshold: int = FAST_TH
     if h < 32 or w < 32:
         raise ValueError(f"raster must be at least 32x32, got {w}x{h}")
     m = BORDER_MARGIN
-    inner = gray[m : h - m, m : w - m].astype(np.int16)
-    ih, iw = inner.shape
+    ih, iw = h - 2 * m, w - 2 * m
     if ih <= 0 or iw <= 0:
         return _empty_keypoints()
+    g = gray.astype(np.int16)
 
-    center = inner
-    bright_code = np.zeros((ih, iw), dtype=np.uint16)
-    dark_code = np.zeros((ih, iw), dtype=np.uint16)
-    bright_sum = np.zeros((ih, iw), dtype=np.int32)
-    dark_sum = np.zeros((ih, iw), dtype=np.int32)
-    for bit, (dx, dy) in enumerate(FAST_CIRCLE):
-        nb = gray[m + dy : m + dy + ih, m + dx : m + dx + iw].astype(np.int16)
-        diff = nb - center
-        bright = diff > threshold
-        dark = diff < -threshold
-        bright_code |= bright.astype(np.uint16) << np.uint16(bit)
-        dark_code |= dark.astype(np.uint16) << np.uint16(bit)
-        bright_sum += np.where(bright, diff - threshold, 0)
-        dark_sum += np.where(dark, -diff - threshold, 0)
+    # Compass pre-test (see the module docstring): a necessary condition.
+    center = g[m : h - m, m : w - m]
+    bright, dark = [], []
+    for dx, dy in FAST_CIRCLE[_COMPASS]:
+        diff = g[m + dy : m + dy + ih, m + dx : m + dx + iw] - center
+        bright.append(diff > threshold)
+        dark.append(diff < -threshold)
+    maybe = np.zeros((ih, iw), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        maybe |= (bright[a] & bright[b]) | (dark[a] & dark[b])
+    ys, xs = np.nonzero(maybe)
 
+    flat = (ys + m) * w + (xs + m)  # row-major index into gray
+    pixels = g.ravel()
+    diff = pixels[flat[:, None] + (FAST_CIRCLE[:, 1] * w + FAST_CIRCLE[:, 0])] - pixels[flat][:, None]
+    bright = diff > threshold
+    dark = diff < -threshold
     lut = _arc_lut()
-    corner = lut[bright_code] | lut[dark_code]
-    if not corner.any():
-        return _empty_keypoints()
-    score = np.where(corner, np.maximum(bright_sum, dark_sum), 0)
-    nms = (score == ndimage.maximum_filter(score, size=3)) & corner
+    corner = lut[bright.view(np.uint8) @ _CIRCLE_BITS] | lut[dark.view(np.uint8) @ _CIRCLE_BITS]
+    flat, diff, bright, dark = flat[corner], diff[corner], bright[corner], dark[corner]
+    resp = np.maximum(
+        np.where(bright, diff - threshold, 0).sum(axis=1),
+        np.where(dark, -diff - threshold, 0).sum(axis=1),
+    )
+    score = np.zeros(h * w, dtype=resp.dtype)  # zero except at the corners
+    score[flat] = resp
+    window = (np.arange(-1, 2)[:, None] * w + np.arange(-1, 2)).ravel()
+    nms = resp == score[flat[:, None] + window].max(axis=1)
 
-    ys, xs = np.nonzero(nms)
-    resp = score[ys, xs]
-    order = np.lexsort((xs, ys, -resp))[:max_keypoints]
-    ys, xs, resp = ys[order] + m, xs[order] + m, resp[order]
-
-    orientation = _intensity_centroid_orientation(gray, xs, ys)
+    flat, resp = flat[nms], resp[nms]
+    order = np.lexsort((flat, -resp))[:max_keypoints]  # (-response, y, x)
+    flat, resp = flat[order], resp[order]
+    ys, xs = np.divmod(flat, w)
     return Keypoints(
         xy=np.stack([xs, ys], axis=1).astype(np.float64),
         response=resp.astype(np.float64),
-        orientation=orientation,
+        orientation=_intensity_centroid_orientation(gray, flat),
     )
 
 
@@ -155,16 +171,16 @@ def _disc_offsets() -> np.ndarray:
     return _DISC_OFFSETS
 
 
-def _intensity_centroid_orientation(gray: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if len(xs) == 0:
+def _intensity_centroid_orientation(gray: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Patch orientation at the row-major pixel indices ``flat`` of gray."""
+    if len(flat) == 0:
         return np.zeros(0)
+    w = gray.shape[1]
     offs = _disc_offsets()
-    sample = gray[
-        ys[:, None] + offs[None, :, 1], xs[:, None] + offs[None, :, 0]
-    ].astype(np.int64)
-    m10 = sample @ offs[:, 0]
-    m01 = sample @ offs[:, 1]
-    return np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
+    sample = gray.ravel()[flat[:, None] + (offs[:, 1] * w + offs[:, 0])]
+    # The moments are integers below 2**53, so the float64 product is exact.
+    m10, m01 = (sample.astype(np.float64) @ offs.astype(np.float64)).T
+    return np.arctan2(m01, m10)
 
 
 def _build_pattern() -> np.ndarray:
@@ -209,21 +225,16 @@ def _rotated_patterns() -> np.ndarray:
 
 
 def _box_sum_5x5(gray: np.ndarray) -> np.ndarray:
-    """Exact integer 5x5 box sums via an integral image (edges clamped short)."""
-    g = gray.astype(np.int64)
-    integral = np.zeros((g.shape[0] + 1, g.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(g, axis=0), axis=1, out=integral[1:, 1:])
-    h, w = g.shape
-    y0 = np.clip(np.arange(h) - 2, 0, h)
-    y1 = np.clip(np.arange(h) + 3, 0, h)
-    x0 = np.clip(np.arange(w) - 2, 0, w)
-    x1 = np.clip(np.arange(w) + 3, 0, w)
-    return (
-        integral[y1[:, None], x1[None, :]]
-        - integral[y0[:, None], x1[None, :]]
-        - integral[y1[:, None], x0[None, :]]
-        + integral[y0[:, None], x0[None, :]]
-    )
+    """Exact integer 5x5 box sums via an integral image (zeros outside).
+
+    The int32 running sums may wrap modulo 2**32 on huge rasters; every box
+    sum is below 2**31, so the four-corner difference is still exact.
+    """
+    h, w = gray.shape
+    integral = np.zeros((h + 5, w + 5), dtype=np.int32)
+    padded = np.pad(gray, 2).astype(np.int32)
+    np.cumsum(np.cumsum(padded, axis=0, dtype=np.int32), axis=1, dtype=np.int32, out=integral[1:, 1:])
+    return integral[5:, 5:] - integral[:-5, 5:] - integral[5:, :-5] + integral[:-5, :-5]
 
 
 def describe(gray: np.ndarray, keypoints: Keypoints) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +265,11 @@ def describe(gray: np.ndarray, keypoints: Keypoints) -> tuple[np.ndarray, np.nda
         np.rint(keypoints.orientation[kept] / (2.0 * math.pi / ORIENTATION_BINS)).astype(np.int64)
         % ORIENTATION_BINS
     )
-    pat = _rotated_patterns()[bins]  # (m, 256, 4)
-    va = smooth[ys[:, None] + pat[:, :, 1], xs[:, None] + pat[:, :, 0]]
-    vb = smooth[ys[:, None] + pat[:, :, 3], xs[:, None] + pat[:, :, 2]]
+    pat = _rotated_patterns()  # (bins, 256, 4)
+    at = (ys * w + xs)[:, None]
+    smooth = smooth.ravel()
+    va = smooth[at + (pat[:, :, 1] * w + pat[:, :, 0])[bins]]
+    vb = smooth[at + (pat[:, :, 3] * w + pat[:, :, 2])[bins]]
     bits = va < vb
     return np.packbits(bits, axis=1), kept
 
@@ -345,10 +358,16 @@ def dump_descriptors(descriptors: np.ndarray, path: str | Path) -> None:
         fh.write(descriptors.tobytes())
 
 
+class DescriptorFormatError(ValueError):
+    """A descriptor dump that is truncated, corrupt or of another format."""
+
+
 def load_descriptors(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
-        count, bits = struct.unpack(">II", fh.read(8))
+        r = ExactReader(fh, path, DescriptorFormatError)
+        count, bits = r.unpack(">II", "header")
         if bits != DESCRIPTOR_BITS:
-            raise ValueError(f"{path}: expected {DESCRIPTOR_BITS}-bit descriptors, got {bits}")
-        data = fh.read(count * DESCRIPTOR_BYTES)
-    return np.frombuffer(data, dtype=np.uint8).reshape(count, DESCRIPTOR_BYTES).copy()
+            raise r.fail(f"expected {DESCRIPTOR_BITS}-bit descriptors, got {bits}")
+        data = r.array(count * DESCRIPTOR_BYTES, np.uint8, "descriptors")
+        r.expect_end("the descriptors")
+    return data.reshape(count, DESCRIPTOR_BYTES).copy()

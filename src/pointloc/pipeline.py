@@ -31,7 +31,6 @@ from pointloc.features import (
 from pointloc.geometry import (
     CameraIntrinsics,
     Pose,
-    backproject,
     compose,
     pose_from_text,
     pose_to_text,
@@ -86,6 +85,19 @@ class PipelineConfig:
             raise ValueError(f"method must be one of {REGISTRATION_METHODS}")
         if self.min_matches < 3:
             raise ValueError("min_matches must be at least 3")
+        checks = (
+            ("max_keypoints", self.max_keypoints >= 1, "at least 1"),
+            ("fast_threshold", 0 <= self.fast_threshold <= 255, "in 0..255"),
+            ("ratio", 0.0 < self.ratio <= 1.0, "in (0, 1]"),
+            ("ransac_threshold", self.ransac_threshold > 0.0, "positive"),
+            ("ransac_iters", self.ransac_iters >= 1, "at least 1"),
+            ("icp_iters", self.icp_iters >= 0, "at least 0"),
+            ("icp_tol", self.icp_tol >= 0.0, "at least 0"),
+            ("gnc_noise_bound", self.gnc_noise_bound > 0.0, "positive"),
+        )
+        for key, ok, expected in checks:
+            if not ok:
+                raise ValueError(f"{key} must be {expected}, got {getattr(self, key)!r}")
 
 
 def _parse_bool(value: str) -> bool:
@@ -314,14 +326,18 @@ def _register(
 
 def backproject_keypoints(
     xy: np.ndarray, depth: np.ndarray, k: CameraIntrinsics
-) -> np.ndarray:
-    """3D cloud of the valid-depth keypoints of one frame (camera coordinates)."""
-    pts = []
-    for x, y in xy:
-        dn = float(depth[int(round(y)), int(round(x))])
-        if 0.0 < dn < INVALID_DEPTH_MAX:
-            pts.append(backproject((x, y), dn * DEPTH_MAX, k))
-    return np.asarray(pts).reshape(-1, 3)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-frame 3D points of one frame's keypoints, and which are valid.
+
+    Each keypoint reads the normalized depth at its rounded pixel; it is
+    valid when 0 < depth < INVALID_DEPTH_MAX.  Returns (points, valid):
+    points is (n, 3), meaningful only in the rows where valid is True.
+    """
+    u, v = xy[:, 0], xy[:, 1]
+    dn = depth[np.rint(v).astype(np.int64), np.rint(u).astype(np.int64)]
+    valid = (0.0 < dn) & (dn < INVALID_DEPTH_MAX)
+    z = dn * DEPTH_MAX
+    return np.stack([z * (u - k.cx) / k.fx, z * (v - k.cy) / k.fy, z], axis=1), valid
 
 
 def localize(
@@ -346,34 +362,25 @@ def localize(
     matches = match(query_desc, db_frame.descriptors, config.ratio, config.mutual)
     clock.lap("feature_matching")
 
-    p_query, p_db = [], []
-    for m in matches:
-        qx, qy = query_xy[m.query_index]
-        dx, dy = db_frame.keypoint_xy[m.db_index]
-        qd = float(query.depth[int(round(qy)), int(round(qx))])
-        dd = float(db_frame.depth[int(round(dy)), int(round(dx))])
-        if not (0.0 < qd < INVALID_DEPTH_MAX and 0.0 < dd < INVALID_DEPTH_MAX):
-            continue
-        p_query.append(backproject((qx, qy), qd * DEPTH_MAX, db.intrinsics))
-        p_db.append(backproject((dx, dy), dd * DEPTH_MAX, db.intrinsics))
+    q_points, q_valid = backproject_keypoints(query_xy, query.depth, db.intrinsics)
+    d_points, d_valid = backproject_keypoints(
+        db_frame.keypoint_xy, db_frame.depth, db.intrinsics
+    )
+    qi = np.array([m.query_index for m in matches], dtype=np.int64)
+    di = np.array([m.db_index for m in matches], dtype=np.int64)
+    lifted = q_valid[qi] & d_valid[di]
+    p_query, p_db = q_points[qi[lifted]], d_points[di[lifted]]
 
     fallback = True
     pose = db_frame.pose
     inliers = 0
     if len(p_query) >= config.min_matches:
-        if config.method == "ransac+icp":
-            query_cloud = backproject_keypoints(query_xy, query.depth, db.intrinsics)
-            db_cloud = backproject_keypoints(
-                db_frame.keypoint_xy, db_frame.depth, db.intrinsics
-            )
-        else:
-            query_cloud = db_cloud = np.zeros((0, 3))
         seed = (
             config.ransac_seed * 1000003 + query.point_id * 1009 + query.frame_id
         ) % (2**63)
         try:
             relative, inliers = _register(
-                np.asarray(p_query), np.asarray(p_db), query_cloud, db_cloud, config, seed
+                p_query, p_db, q_points[q_valid], d_points[d_valid], config, seed
             )
             pose = compose(db_frame.pose, relative)
             fallback = False

@@ -345,8 +345,14 @@ def dump_embeddings(embeddings: Sequence[GlobalEmbedding], path: str | Path) -> 
             fh.write(np.ascontiguousarray(e.values, dtype=">f8").tobytes())
 
 
+class EmbeddingFormatError(ValueError):
+    """An embeddings dump that is truncated, corrupt or of another format."""
+
+
 def load_embeddings(path: str | Path, variant: str) -> list[GlobalEmbedding]:
     with open(path, "rb") as fh:
-        count, dim = struct.unpack(">II", fh.read(8))
-        data = np.frombuffer(fh.read(count * dim * 8), dtype=">f8").astype(np.float64)
+        r = ExactReader(fh, path, EmbeddingFormatError)
+        count, dim = r.unpack(">II", "header")
+        data = r.array(count * dim, ">f8", "values").astype(np.float64)
+        r.expect_end("the values")
     return [GlobalEmbedding(row.copy(), variant) for row in data.reshape(count, dim)]

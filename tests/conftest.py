@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -40,3 +42,31 @@ def random_pose(rng: np.random.Generator) -> Pose:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def assert_each_rejected(tmp_path):
+    """check(load, blobs, error): load(path) raises ``error`` on the file
+    holding each blob, all blobs within 30 s."""
+
+    def check(load, blobs, error):
+        outcomes = []
+
+        def run():
+            for blob in blobs:
+                (tmp_path / "bad.bin").write_bytes(blob)
+                try:
+                    load(tmp_path / "bad.bin")
+                    outcomes.append(None)
+                except Exception as e:  # checked below
+                    outcomes.append(e)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(30.0)
+        assert not worker.is_alive(), f"still loading after 30 s ({len(outcomes)} done)"
+        assert len(outcomes) == len(blobs)
+        for i, outcome in enumerate(outcomes):
+            assert isinstance(outcome, error), (i, outcome)
+
+    return check

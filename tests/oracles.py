@@ -192,3 +192,160 @@ def scan_ranked(matrix: np.ndarray, frame_ids, q: np.ndarray) -> list[tuple[int,
         keyed.append((zero, dist, int(fid)))
     keyed.sort()
     return [(fid, dist) for _, dist, fid in keyed]
+
+
+def detect_dense(gray: np.ndarray, max_keypoints: int = 1000, threshold: int = 20):
+    """features.detect by the original dense pass: the 16-pixel segment test,
+    its codes and scores on every inner pixel, then a scipy 3x3 maximum
+    filter for non-maximum suppression.  Shares only the constant tables
+    (arc lookup, orientation disc) with the code it checks."""
+    from scipy import ndimage
+
+    from pointloc import features as F
+
+    gray = np.asarray(gray)
+    h, w = gray.shape
+    if h < 32 or w < 32:
+        raise ValueError(f"raster must be at least 32x32, got {w}x{h}")
+    m = F.BORDER_MARGIN
+    inner = gray[m : h - m, m : w - m].astype(np.int16)
+    ih, iw = inner.shape
+    if ih <= 0 or iw <= 0:
+        return F._empty_keypoints()
+
+    center = inner
+    bright_code = np.zeros((ih, iw), dtype=np.uint16)
+    dark_code = np.zeros((ih, iw), dtype=np.uint16)
+    bright_sum = np.zeros((ih, iw), dtype=np.int32)
+    dark_sum = np.zeros((ih, iw), dtype=np.int32)
+    for bit, (dx, dy) in enumerate(F.FAST_CIRCLE):
+        nb = gray[m + dy : m + dy + ih, m + dx : m + dx + iw].astype(np.int16)
+        diff = nb - center
+        bright = diff > threshold
+        dark = diff < -threshold
+        bright_code |= bright.astype(np.uint16) << np.uint16(bit)
+        dark_code |= dark.astype(np.uint16) << np.uint16(bit)
+        bright_sum += np.where(bright, diff - threshold, 0)
+        dark_sum += np.where(dark, -diff - threshold, 0)
+
+    lut = F._arc_lut()
+    corner = lut[bright_code] | lut[dark_code]
+    if not corner.any():
+        return F._empty_keypoints()
+    score = np.where(corner, np.maximum(bright_sum, dark_sum), 0)
+    nms = (score == ndimage.maximum_filter(score, size=3)) & corner
+
+    ys, xs = np.nonzero(nms)
+    resp = score[ys, xs]
+    order = np.lexsort((xs, ys, -resp))[:max_keypoints]
+    ys, xs, resp = ys[order] + m, xs[order] + m, resp[order]
+
+    orientation = _orientation_int64(gray, xs, ys)
+    return F.Keypoints(
+        xy=np.stack([xs, ys], axis=1).astype(np.float64),
+        response=resp.astype(np.float64),
+        orientation=orientation,
+    )
+
+
+def _orientation_int64(gray: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Intensity-centroid orientation with int64 moments."""
+    from pointloc import features as F
+
+    if len(xs) == 0:
+        return np.zeros(0)
+    offs = F._disc_offsets()
+    sample = gray[
+        ys[:, None] + offs[None, :, 1], xs[:, None] + offs[None, :, 0]
+    ].astype(np.int64)
+    m10 = sample @ offs[:, 0]
+    m01 = sample @ offs[:, 1]
+    return np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
+
+
+def _box_sum_5x5_clamped(gray: np.ndarray) -> np.ndarray:
+    """Exact integer 5x5 box sums via an integral image (edges clamped short)."""
+    g = gray.astype(np.int64)
+    integral = np.zeros((g.shape[0] + 1, g.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(g, axis=0), axis=1, out=integral[1:, 1:])
+    h, w = g.shape
+    y0 = np.clip(np.arange(h) - 2, 0, h)
+    y1 = np.clip(np.arange(h) + 3, 0, h)
+    x0 = np.clip(np.arange(w) - 2, 0, w)
+    x1 = np.clip(np.arange(w) + 3, 0, w)
+    return (
+        integral[y1[:, None], x1[None, :]]
+        - integral[y0[:, None], x1[None, :]]
+        - integral[y1[:, None], x0[None, :]]
+        + integral[y0[:, None], x0[None, :]]
+    )
+
+
+def describe_dense(gray: np.ndarray, keypoints):
+    """features.describe by the original pass: clamped box sums gathered for
+    every pixel, pattern pairs gathered by (row, column) index.  Shares only
+    the rotated sampling pattern with the code it checks."""
+    from pointloc import features as F
+
+    gray = np.asarray(gray)
+    h, w = gray.shape
+    if len(keypoints) == 0:
+        return np.zeros((0, F.DESCRIPTOR_BYTES), dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    xs = np.rint(keypoints.xy[:, 0]).astype(np.int64)
+    ys = np.rint(keypoints.xy[:, 1]).astype(np.int64)
+    ok = (
+        (xs >= F.BORDER_MARGIN)
+        & (xs < w - F.BORDER_MARGIN)
+        & (ys >= F.BORDER_MARGIN)
+        & (ys < h - F.BORDER_MARGIN)
+    )
+    kept = np.nonzero(ok)[0]
+    if len(kept) == 0:
+        return np.zeros((0, F.DESCRIPTOR_BYTES), dtype=np.uint8), kept
+    xs, ys = xs[kept], ys[kept]
+
+    smooth = _box_sum_5x5_clamped(gray)
+    bins = (
+        np.rint(keypoints.orientation[kept] / (2.0 * math.pi / F.ORIENTATION_BINS)).astype(np.int64)
+        % F.ORIENTATION_BINS
+    )
+    pat = F._rotated_patterns()[bins]  # (m, 256, 4)
+    va = smooth[ys[:, None] + pat[:, :, 1], xs[:, None] + pat[:, :, 0]]
+    vb = smooth[ys[:, None] + pat[:, :, 3], xs[:, None] + pat[:, :, 2]]
+    bits = va < vb
+    return np.packbits(bits, axis=1), kept
+
+
+def lift_matches_scalar(query_xy, query_depth, db_xy, db_depth, matches, k):
+    """Matched keypoint pairs lifted to 3D one match at a time, kept only
+    where both depths are valid: the original loop in pipeline.localize."""
+    from pointloc.geometry import backproject
+    from pointloc.pipeline import INVALID_DEPTH_MAX
+    from pointloc.render import DEPTH_MAX
+
+    p_query, p_db = [], []
+    for m in matches:
+        qx, qy = query_xy[m.query_index]
+        dx, dy = db_xy[m.db_index]
+        qd = float(query_depth[int(round(qy)), int(round(qx))])
+        dd = float(db_depth[int(round(dy)), int(round(dx))])
+        if not (0.0 < qd < INVALID_DEPTH_MAX and 0.0 < dd < INVALID_DEPTH_MAX):
+            continue
+        p_query.append(backproject((qx, qy), qd * DEPTH_MAX, k))
+        p_db.append(backproject((dx, dy), dd * DEPTH_MAX, k))
+    return np.asarray(p_query).reshape(-1, 3), np.asarray(p_db).reshape(-1, 3)
+
+
+def lift_cloud_scalar(xy, depth, k):
+    """3D cloud of the valid-depth keypoints, one keypoint at a time: the
+    original pipeline.backproject_keypoints."""
+    from pointloc.geometry import backproject
+    from pointloc.pipeline import INVALID_DEPTH_MAX
+    from pointloc.render import DEPTH_MAX
+
+    pts = []
+    for x, y in xy:
+        dn = float(depth[int(round(y)), int(round(x))])
+        if 0.0 < dn < INVALID_DEPTH_MAX:
+            pts.append(backproject((x, y), dn * DEPTH_MAX, k))
+    return np.asarray(pts).reshape(-1, 3)

@@ -225,3 +225,28 @@ class TestUsageErrors:
         )
         assert rc == EXIT_USAGE
         assert "'mutual' on line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["max_keypoints = -1", "fast_threshold = 40000", "ratio = 1.5", "icp_iters = -1"]
+    )
+    def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"retrieval = bow\n{line}\n")
+        rc = main(
+            ["build-db", "--dataset", str(workspace["dataset"]),
+             "--vocab", str(workspace["vocab"]), "--config", str(bad),
+             "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_USAGE
+        assert f"{line.split()[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "db.bin").exists()
+
+    # Rejected before the dataset is read: the path does not exist.
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_max_keypoints_flag_is_usage_error(self, tmp_path, capsys, value):
+        rc = main(
+            ["train-vocab", "--dataset", str(tmp_path / "missing"), "--k", "8",
+             "--seed", "0", "--out", str(tmp_path / "vocab.bin"), "--max-keypoints", value]
+        )
+        assert rc == EXIT_USAGE
+        assert "max_keypoints must be at least 1" in capsys.readouterr().err

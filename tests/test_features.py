@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fast_segment_test, hamming
+from oracles import describe_dense, detect_dense, fast_segment_test, hamming
 
 from pointloc.features import (
     BORDER_MARGIN,
     DESCRIPTOR_BITS,
+    DescriptorFormatError,
+    Keypoints,
     Match,
     describe,
     detect,
@@ -20,6 +22,7 @@ from pointloc.features import (
     match,
     to_grayscale,
 )
+from pointloc.features import _box_sum_5x5
 
 
 def textured_image(rng, size=128):
@@ -113,6 +116,79 @@ class TestDetect:
         assert np.array_equal(a.xy, b.xy)
         assert np.array_equal(a.response, b.response)
         assert np.array_equal(a.orientation, b.orientation)
+
+
+@st.composite
+def fast_rasters(draw):
+    """(gray, threshold): a 32..72 px raster of one of five kinds, any threshold."""
+    h, w = draw(st.integers(32, 72)), draw(st.integers(32, 72))
+    threshold = draw(st.sampled_from([0, 255]) | st.integers(0, 255))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "blocks", "levels", "constant", "tiled"]))
+    if kind == "noise":
+        return rng.integers(0, 256, (h, w), dtype=np.uint8), threshold
+    if kind == "blocks":
+        cell = draw(st.integers(2, 9))
+        cells = rng.integers(0, 256, (h // cell + 1, w // cell + 1), dtype=np.uint8)
+        return np.kron(cells, np.ones((cell, cell), dtype=np.uint8))[:h, :w], threshold
+    if kind == "levels":  # ring pixels exactly at, and one past, center +- threshold
+        c = draw(st.integers(0, 255))
+        levels = np.clip([c - threshold - 1, c - threshold, c, c + threshold, c + threshold + 1], 0, 255)
+        return rng.choice(levels, size=(h, w)).astype(np.uint8), threshold
+    if kind == "constant":
+        return np.full((h, w), draw(st.integers(0, 255)), dtype=np.uint8), threshold
+    tile = rng.integers(0, 256, (draw(st.integers(3, 12)),) * 2, dtype=np.uint8)
+    return np.tile(tile, (h // len(tile) + 1, w // len(tile) + 1))[:h, :w], threshold  # tied responses
+
+
+def assert_same_keypoints(got, want):
+    for name in ("xy", "response", "orientation"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestDenseOracle:
+    """detect and describe are bit-identical to the original dense passes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(raster=fast_rasters(), max_keypoints=st.sampled_from([1, 2, 7, 1000]))
+    def test_detect_and_describe_match_dense_passes(self, raster, max_keypoints):
+        gray, threshold = raster
+        got = detect(gray, max_keypoints, threshold)
+        assert_same_keypoints(got, detect_dense(gray, max_keypoints, threshold))
+        desc, kept = describe(gray, got)
+        want_desc, want_kept = describe_dense(gray, got)
+        assert np.array_equal(desc, want_desc) and np.array_equal(kept, want_kept)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(32, 72), st.integers(32, 72)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 30),
+    )
+    def test_describe_matches_at_any_position_and_angle(self, shape, seed, n):
+        rng = np.random.default_rng(seed)
+        h, w = shape
+        gray = rng.integers(0, 256, shape, dtype=np.uint8)
+        xy = np.stack([rng.uniform(-2, w + 1, n), rng.uniform(-2, h + 1, n)], axis=1)
+        xy[: n // 3] = np.rint(xy[: n // 3]) + 0.5  # exact halves round to even
+        kps = Keypoints(xy, np.zeros(n), rng.uniform(-10.0, 10.0, n))
+        desc, kept = describe(gray, kps)
+        want_desc, want_kept = describe_dense(gray, kps)
+        assert np.array_equal(desc, want_desc) and np.array_equal(kept, want_kept)
+
+    def test_cap_of_one_breaks_response_ties_by_row_then_column(self):
+        tile = np.random.default_rng(5).integers(0, 256, (7, 7), dtype=np.uint8)
+        gray = np.tile(tile, (10, 10))[:64, :60]
+        full = detect_dense(gray, 1000, 20)
+        assert full.response[1] == full.response[0]  # the cap falls inside a tie
+        assert_same_keypoints(detect(gray, 1, 20), detect_dense(gray, 1, 20))
+
+    def test_box_sums_exact_where_running_sums_pass_2_to_31(self):
+        w = 1_800_000  # the integral image reaches 255 * 5 * w > 2**31
+        x = np.arange(w)
+        want = 255 * (np.minimum(np.minimum(x, w - 1 - x), 2) + 3)  # 3, 4, then 5 columns
+        assert np.array_equal(_box_sum_5x5(np.full((1, w), 255, dtype=np.uint8))[0], want)
 
 
 class TestDescribe:
@@ -284,3 +360,14 @@ class TestDescriptorDump:
         data = (tmp_path / "d.bin").read_bytes()
         assert data[:8] == (3).to_bytes(4, "big") + (256).to_bytes(4, "big")
         assert len(data) == 8 + 3 * 32
+
+    def test_truncation_and_corruption_rejected(self, tmp_path, rng, assert_each_rejected):
+        dump_descriptors(rng.integers(0, 256, size=(3, 32), dtype=np.uint8), tmp_path / "d.bin")
+        data = (tmp_path / "d.bin").read_bytes()
+        bad = [data[:cut] for cut in range(len(data))]  # every cut point
+        bad += [
+            data + b"\x00",  # trailing byte
+            data[:4] + (128).to_bytes(4, "big") + data[8:],  # descriptor width
+            (2**32 - 1).to_bytes(4, "big") + data[4:],  # count far past the end
+        ]
+        assert_each_rejected(load_descriptors, bad, DescriptorFormatError)

@@ -4,14 +4,21 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import lift_cloud_scalar, lift_matches_scalar
 
 from pointloc.dataset import GenerationParams, generate_scene_dataset
-from pointloc.geometry import Pose, compose, inverse, rotation_error, translation_error
+from pointloc.features import Match
+from pointloc.geometry import CameraIntrinsics, Pose, compose, inverse, rotation_error, translation_error
 from pointloc.pipeline import (
+    INVALID_DEPTH_MAX,
     DatabaseFormatError,
     LocalizationResult,
     PipelineConfig,
     StageTimings,
+    backproject_keypoints,
     build_database,
     config_to_text,
     load_database,
@@ -78,6 +85,31 @@ class TestConfig:
     def test_min_matches_floor(self):
         with pytest.raises(ValueError):
             PipelineConfig(min_matches=2)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_keypoints", 0), ("max_keypoints", -1),
+            ("fast_threshold", -1), ("fast_threshold", 256), ("fast_threshold", 40000),
+            ("ratio", 0.0), ("ratio", -0.5), ("ratio", 1.5), ("ratio", float("nan")),
+            ("ransac_threshold", 0.0), ("ransac_threshold", -0.1),
+            ("ransac_iters", 0), ("icp_iters", -1), ("icp_tol", -1e-9),
+            ("gnc_noise_bound", 0.0), ("gnc_noise_bound", float("nan")),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            PipelineConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            parse_config(f"{key} = {value}\n")
+
+    def test_range_edges_accepted(self):
+        cfg = PipelineConfig(
+            max_keypoints=1, fast_threshold=255, ratio=1.0, ransac_iters=1,
+            icp_iters=0, icp_tol=0.0, ransac_threshold=1e-9, gnc_noise_bound=1e-9,
+        )
+        assert parse_config(config_to_text(cfg)) == cfg
+        assert PipelineConfig(fast_threshold=0).fast_threshold == 0
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nratio = 0.7  # inline\n")
@@ -246,6 +278,62 @@ class TestLocalize:
                 fallback=True,
                 timings=StageTimings(),
             )
+
+
+def keypoint_frame(rng, n, h=24, w=32):
+    """n keypoints with fractional and exact-half coordinates, and a depth
+    raster mixing 0, values at and just around INVALID_DEPTH_MAX, and 1."""
+    xy = np.stack([rng.uniform(0, w - 1, n), rng.uniform(0, h - 1, n)], axis=1)
+    halves = rng.random(n) < 0.3
+    xy[halves] = rng.integers(0, [w - 1, h - 1], (halves.sum(), 2)) + 0.5
+    special = [0.0, INVALID_DEPTH_MAX, np.nextafter(INVALID_DEPTH_MAX, 0), np.nextafter(INVALID_DEPTH_MAX, 2), 1.0]
+    depth = rng.uniform(0.0, 1.0, (h, w))
+    marked = rng.random((h, w)) < 0.3
+    depth[marked] = rng.choice(special, marked.sum())
+    return xy, depth
+
+
+class TestKeypointLifting:
+    K = CameraIntrinsics(fx=30.0, fy=29.0, cx=15.5, cy=11.5, width=32, height=24)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_query=st.integers(0, 30),
+        n_db=st.integers(0, 30),
+        n_matches=st.integers(0, 40),
+    )
+    def test_matches_scalar_lifting(self, seed, n_query, n_db, n_matches):
+        rng = np.random.default_rng(seed)
+        q_xy, q_depth = keypoint_frame(rng, n_query)
+        d_xy, d_depth = keypoint_frame(rng, n_db)
+        if n_query == 0 or n_db == 0:
+            n_matches = 0
+        matches = [
+            Match(int(rng.integers(n_query)), int(rng.integers(n_db)), 0) for _ in range(n_matches)
+        ]
+        q_points, q_valid = backproject_keypoints(q_xy, q_depth, self.K)
+        d_points, d_valid = backproject_keypoints(d_xy, d_depth, self.K)
+        assert np.array_equal(q_points[q_valid], lift_cloud_scalar(q_xy, q_depth, self.K))
+        assert np.array_equal(d_points[d_valid], lift_cloud_scalar(d_xy, d_depth, self.K))
+
+        # the matched pairs as localize selects them
+        qi = np.array([m.query_index for m in matches], dtype=np.int64)
+        di = np.array([m.db_index for m in matches], dtype=np.int64)
+        lifted = q_valid[qi] & d_valid[di]
+        want_q, want_d = lift_matches_scalar(q_xy, q_depth, d_xy, d_depth, matches, self.K)
+        assert np.array_equal(q_points[qi[lifted]], want_q)
+        assert np.array_equal(d_points[di[lifted]], want_d)
+
+    def test_depth_validity_edges(self):
+        depth = np.array([[0.0, 1e-12, np.nextafter(INVALID_DEPTH_MAX, 0), INVALID_DEPTH_MAX, 1.0]])
+        xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.4, 0.4], [2.6, -0.4], [4.0, 0.0]])
+        k = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=0.0, width=5, height=1)
+        points, valid = backproject_keypoints(xy, depth, k)
+        assert valid.tolist() == [False, True, True, False, False]
+        assert points.shape == (5, 3)
+        points, valid = backproject_keypoints(np.zeros((0, 2)), depth, k)
+        assert points.shape == (0, 3) and valid.shape == (0,)
 
 
 class TestRetrievalOnly:

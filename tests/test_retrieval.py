@@ -11,6 +11,7 @@ from oracles import hamming, scan_ranked
 
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
+    EmbeddingFormatError,
     EmptyIndexError,
     GlobalEmbedding,
     InsufficientDataError,
@@ -405,3 +406,16 @@ class TestFiles:
         assert len(loaded) == 5
         for a, b in zip(embs, loaded):
             assert np.array_equal(a.values, b.values)
+
+    def test_embeddings_truncation_and_corruption_rejected(self, rng, tmp_path, assert_each_rejected):
+        dump_embeddings([unit_embedding(rng, dim=4) for _ in range(3)], tmp_path / "e.bin")
+        data = (tmp_path / "e.bin").read_bytes()
+        bad = [data[:cut] for cut in range(len(data))]  # every cut point
+        bad += [
+            data + b"\x00",  # trailing byte
+            (2).to_bytes(4, "big") + data[4:],  # one row fewer than stored
+            (2**32 - 1).to_bytes(4, "big") * 2 + data[8:],  # count x dim far past the end
+        ]
+        assert_each_rejected(
+            lambda path: load_embeddings(path, VARIANT_BOW), bad, EmbeddingFormatError
+        )
