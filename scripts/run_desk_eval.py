@@ -29,7 +29,6 @@ from pointloc.pipeline import (
     PipelineConfig,
     build_database,
     localize,
-    retrieval_only_localize,
     save_database,
     train_vocabulary_for_dataset,
     write_results,
@@ -81,21 +80,20 @@ def main() -> None:
     print(f"database of {len(db.frames)} frames built in {time.perf_counter() - t0:.0f}s")
 
     configurations = {
-        "retrieval-only (vlad)": ("retrieval_only", base_config),
-        "vlad + gnc": ("full", PipelineConfig(retrieval="vlad", method="gnc")),
-        "vlad + ransac+icp": ("full", PipelineConfig(retrieval="vlad", method="ransac+icp")),
+        "retrieval-only (vlad)": (True, base_config),
+        "vlad + gnc": (False, PipelineConfig(retrieval="vlad", method="gnc")),
+        "vlad + ransac+icp": (False, PipelineConfig(retrieval="vlad", method="ransac+icp")),
     }
 
     table = RecallTable()
     timing_rows = {}
-    for name, (mode, config) in configurations.items():
-        run = retrieval_only_localize if mode == "retrieval_only" else localize
+    for name, (retrieval_only, config) in configurations.items():
         results = []
         pairs = []
         t0 = time.perf_counter()
         for group in iter_point_groups(dataset_dir):
             for query in group.query_frames:
-                res = run(db, query, config)
+                res = localize(db, query, config, retrieval_only=retrieval_only)
                 results.append(res)
                 pairs.append((res, query.pose))
         elapsed = time.perf_counter() - t0

@@ -30,22 +30,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from pointloc.dataset import DatasetFormatError
     from pointloc.evaluation import EvaluationError
-    from pointloc.features import DescriptorFormatError
-    from pointloc.pipeline import DatabaseFormatError
-    from pointloc.retrieval import (
-        EmbeddingFormatError,
-        InsufficientDataError,
-        VocabularyFormatError,
-    )
+    from pointloc.pipeline import DatabaseFormatError, ResultsFormatError
+    from pointloc.retrieval import InsufficientDataError, VocabularyFormatError
 
     try:
         return args.func(args)
     except (
         DatasetFormatError,
         DatabaseFormatError,
+        ResultsFormatError,
         VocabularyFormatError,
-        DescriptorFormatError,
-        EmbeddingFormatError,
         InsufficientDataError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -123,14 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    from dataclasses import replace as dc_replace
-
-    from pointloc.dataset import (
-        DatasetManifest,
-        GenerationParams,
-        generate_dataset_to_dir,
-        manifest_to_text,
-    )
+    from pointloc.dataset import GenerationParams, generate_dataset_to_dir
     from pointloc.scene import SceneParams
 
     if args.seed < 0:
@@ -146,59 +133,15 @@ def cmd_generate(args) -> int:
         resolution=args.resolution,
         scene=SceneParams(floor_width=args.floor, floor_depth=args.floor),
     )
-    out = Path(args.out)
-    manifests = []
-    for s in range(args.scenes):
-        name = f"scene_{s}"
-        target = out if args.scenes == 1 else out / name
-        manifest = generate_dataset_to_dir(args.seed, params, target, s, name)
-        manifests.append(manifest)
-        print(f"{name}: {manifest.points} points, {manifest.poses} poses")
-    if args.scenes > 1:
-        combined = DatasetManifest(
-            seed=args.seed,
-            scenes=tuple(m.scenes[0] for m in manifests),
-            points=sum(m.points for m in manifests),
-            poses=sum(m.poses for m in manifests),
-            categories=max(m.categories for m in manifests),
-            instances=sum(m.instances for m in manifests),
-            maps=len(manifests),
-            params=params,
-        )
-        (out / "manifest.txt").write_text(manifest_to_text(combined), encoding="ascii")
-    print(f"dataset written to {out}")
+    manifest = generate_dataset_to_dir(args.seed, params, args.out)
+    for scene in manifest.scenes:
+        print(f"{scene.name}: {scene.points} points, {scene.poses} poses")
+    print(f"dataset written to {Path(args.out)}")
     return EXIT_OK
 
 
-def _iter_scene_groups(dataset_dir: str):
-    """Point groups across all scene directories, point ids offset per scene."""
-    from dataclasses import replace as dc_replace
-
-    from pointloc.dataset import PointGroup, iter_point_groups, scene_directories
-
-    for s, scene_dir in enumerate(scene_directories(dataset_dir)):
-        offset = s * 100000
-        for g in iter_point_groups(scene_dir):
-            if offset == 0:
-                yield g
-            else:
-                yield PointGroup(
-                    g.point_id + offset,
-                    g.center,
-                    tuple(dc_replace(f, point_id=f.point_id + offset) for f in g.database_frames),
-                    tuple(dc_replace(f, point_id=f.point_id + offset) for f in g.query_frames),
-                )
-
-
-def _dataset_intrinsics(dataset_dir: str):
-    from pointloc.dataset import load_manifest, scene_directories
-
-    root = scene_directories(dataset_dir)[0]
-    manifest = load_manifest(root)
-    return manifest.params.intrinsics()
-
-
 def cmd_train_vocab(args) -> int:
+    from pointloc.dataset import iter_point_groups
     from pointloc.pipeline import PipelineConfig, train_vocabulary_for_dataset
     from pointloc.retrieval import save_vocabulary
 
@@ -206,7 +149,7 @@ def cmd_train_vocab(args) -> int:
         raise ValueError("--k must be at least 1")
     config = PipelineConfig(max_keypoints=args.max_keypoints)
     vocab = train_vocabulary_for_dataset(
-        _iter_scene_groups(args.dataset), k=args.k, seed=args.seed, config=config
+        iter_point_groups(args.dataset), k=args.k, seed=args.seed, config=config
     )
     save_vocabulary(vocab, args.out)
     print(f"vocabulary (k={vocab.k}) written to {args.out}")
@@ -214,16 +157,17 @@ def cmd_train_vocab(args) -> int:
 
 
 def cmd_build_db(args) -> int:
+    from pointloc.dataset import iter_point_groups, load_manifest
     from pointloc.pipeline import build_database, load_config, save_database
     from pointloc.retrieval import load_vocabulary
 
     config = load_config(args.config)
     vocab = load_vocabulary(args.vocab)
     db = build_database(
-        _iter_scene_groups(args.dataset),
+        iter_point_groups(args.dataset),
         vocab,
         config,
-        _dataset_intrinsics(args.dataset),
+        load_manifest(args.dataset).params.intrinsics(),
     )
     save_database(db, args.out)
     print(f"database of {len(db.frames)} frames written to {args.out}")
@@ -231,21 +175,16 @@ def cmd_build_db(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    from pointloc.pipeline import (
-        load_config,
-        load_database,
-        localize,
-        retrieval_only_localize,
-        write_results,
-    )
+    from pointloc.dataset import iter_point_groups
+    from pointloc.pipeline import load_config, load_database, localize, write_results
 
     config = load_config(args.config)
     db = load_database(args.db)
-    run = retrieval_only_localize if args.retrieval_only else localize
-    results = []
-    for group in _iter_scene_groups(args.dataset):
-        for query in group.query_frames:
-            results.append(run(db, query, config))
+    results = [
+        localize(db, query, config, retrieval_only=args.retrieval_only)
+        for group in iter_point_groups(args.dataset)
+        for query in group.query_frames
+    ]
     if not results:
         raise ValueError(f"dataset {args.dataset} holds no query frames")
     write_results(results, args.out)
@@ -254,31 +193,8 @@ def cmd_localize(args) -> int:
     return EXIT_OK
 
 
-def _ground_truth_poses(dataset_dir: str):
-    """(point_id, frame_id) -> ground-truth pose for every query frame."""
-    from pointloc.dataset import scene_directories
-    from pointloc.geometry import pose_from_text
-
-    poses = {}
-    for s, scene_dir in enumerate(scene_directories(dataset_dir)):
-        offset = s * 100000
-        queries_root = Path(scene_dir) / "queries"
-        if not queries_root.exists():
-            continue
-        for pid_dir in queries_root.iterdir():
-            if not pid_dir.name.isdigit():
-                continue
-            pid = int(pid_dir.name) + offset
-            for pose_file in pid_dir.glob("q_*.pose"):
-                fid = int(pose_file.stem.split("_", 1)[1])
-                poses[(pid, fid)] = pose_from_text(
-                    pose_file.read_text(encoding="ascii").strip()
-                )
-    return poses
-
-
 def cmd_evaluate(args) -> int:
-    from pointloc.dataset import DatasetFormatError
+    from pointloc.dataset import DatasetFormatError, query_poses
     from pointloc.evaluation import (
         EvaluationError,
         RecallTable,
@@ -293,7 +209,7 @@ def cmd_evaluate(args) -> int:
     rows = read_results(args.results)
     if not rows:
         raise EvaluationError(f"results file {args.results} is empty")
-    gt = _ground_truth_poses(args.dataset)
+    gt = query_poses(args.dataset)
     pairs = []
     for row in rows:
         key = (row.query_point_id, row.query_frame_id)
@@ -308,7 +224,7 @@ def cmd_evaluate(args) -> int:
     table = RecallTable()
     table.add(name, recall_row)
     if args.out:
-        emit_report(table, None, args.format, args.out)
+        emit_report(table, args.format, args.out)
         print(f"report written to {args.out}")
     else:
         render = render_recall_csv if args.format == "csv" else render_recall_markdown
@@ -317,21 +233,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from itertools import islice
+
+    from pointloc.dataset import iter_point_groups
     from pointloc.evaluation import render_timing_markdown, timing_report
     from pointloc.pipeline import load_config, load_database, localize
 
     config = load_config(args.config)
     if not config.record_timings:
         raise ValueError("bench requires record_timings = true in the config")
+    if args.limit < 0:
+        raise ValueError("--limit must be at least 0")
     db = load_database(args.db)
-    results = []
-    for group in _iter_scene_groups(args.dataset):
-        for query in group.query_frames:
-            results.append(localize(db, query, config))
-            if args.limit and len(results) >= args.limit:
-                break
-        if args.limit and len(results) >= args.limit:
-            break
+    queries = (q for g in iter_point_groups(args.dataset) for q in g.query_frames)
+    results = [localize(db, q, config) for q in islice(queries, args.limit or None)]
     if not results:
         raise ValueError(f"dataset {args.dataset} holds no query frames")
     report = timing_report(results, hardware=config.hardware)

@@ -16,16 +16,16 @@ Directory layout (one scene):
 rgb is binary PPM (P6, maxval 255); depth and inst are binary PGM (P5,
 maxval 65535, big-endian 16-bit); pose files hold one
 "tx ty tz qw qx qy qz" line.  A multi-scene dataset nests single-scene
-directories under scene_<i>/ with an aggregate manifest at the root.
+directories under scene_<i>/ with an aggregate manifest at the root; read
+together, the point ids of scene_<i> are offset by i * SCENE_POINT_ID_STRIDE.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from pointloc.scene import (
 
 DB_FRAMES_PER_POINT = 6
 YAW_STEP_DEG = 60.0
+SCENE_POINT_ID_STRIDE = 100000
 
 
 class DatasetFormatError(Exception):
@@ -170,41 +171,65 @@ def generate_point_frames(
     return PointGroup(point.point_id, center, tuple(db_frames), tuple(query_frames))
 
 
+def _generate_groups(
+    seed: int, params: GenerationParams, scene_index: int
+) -> tuple[SceneModel, Iterator[PointGroup]]:
+    """One scene and a lazy stream of its point groups."""
+    scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
+    grid = generate_point_grid(scene, params.grid_spacing, params.camera_height)
+    return scene, (generate_point_frames(scene, gp, params, seed, scene_index) for gp in grid)
+
+
 def generate_scene_dataset(
     seed: int, params: GenerationParams, scene_index: int = 0
 ) -> tuple[SceneModel, list[PointGroup]]:
     """Generate one scene and all its point groups (in memory)."""
-    scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
-    grid = generate_point_grid(scene, params.grid_spacing, params.camera_height)
-    groups = [
-        generate_point_frames(scene, gp, params, seed, scene_index) for gp in grid
-    ]
-    return scene, groups
+    scene, groups = _generate_groups(seed, params, scene_index)
+    return scene, list(groups)
 
 
 def generate_dataset_to_dir(
-    seed: int,
-    params: GenerationParams,
-    directory: str | Path,
-    scene_index: int = 0,
-    scene_name: str = "scene_0",
+    seed: int, params: GenerationParams, directory: str | Path
 ) -> DatasetManifest:
-    """Generate one scene dataset straight to disk, one point at a time.
+    """Generate a dataset straight to disk, one point at a time.
 
-    Keeps at most one point group in memory, so full-size datasets (about
-    1 GB of rasters) generate in bounded space.  Output bytes are identical
-    to write_dataset() on the in-memory equivalent.
+    One scene is written into `directory` itself; params.scenes > 1 scenes
+    go to scene_<i>/ under it, next to an aggregate manifest.  Keeps at most
+    one point group in memory, so full-size datasets (about 1 GB of rasters)
+    generate in bounded space.  Frames hold the bytes of the in-memory
+    generate_scene_dataset() groups.
     """
     directory = Path(directory)
+    if params.scenes == 1:
+        return _generate_scene_to_dir(seed, params, directory, 0)
+    manifests = [
+        _generate_scene_to_dir(seed, params, directory / f"scene_{s}", s)
+        for s in range(params.scenes)
+    ]
+    combined = DatasetManifest(
+        seed=seed,
+        scenes=tuple(m.scenes[0] for m in manifests),
+        points=sum(m.points for m in manifests),
+        poses=sum(m.poses for m in manifests),
+        categories=max(m.categories for m in manifests),
+        instances=sum(m.instances for m in manifests),
+        maps=len(manifests),
+        params=params,
+    )
+    (directory / "manifest.txt").write_text(manifest_to_text(combined), encoding="ascii")
+    return combined
+
+
+def _generate_scene_to_dir(
+    seed: int, params: GenerationParams, directory: Path, scene_index: int
+) -> DatasetManifest:
     directory.mkdir(parents=True, exist_ok=True)
-    scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
+    scene, groups = _generate_groups(seed, params, scene_index)
     (directory / "scene.txt").write_text(scene_to_text(scene), encoding="ascii")
-    grid = generate_point_grid(scene, params.grid_spacing, params.camera_height)
 
     points = poses = 0
     seen_instances: set[int] = set()
-    for gp in grid:
-        group = generate_point_frames(scene, gp, params, seed, scene_index)
+    for group in groups:
         for f in group.database_frames:
             write_frame(f, directory / "points" / str(group.point_id))
         for f in group.query_frames:
@@ -217,7 +242,7 @@ def generate_dataset_to_dir(
     categories = {scene.category_of(i) for i in seen_instances} - {None}
     manifest = DatasetManifest(
         seed=seed,
-        scenes=(SceneSummary(scene_name, scene.seed, points, poses),),
+        scenes=(SceneSummary(f"scene_{scene_index}", scene.seed, points, poses),),
         points=points,
         poses=poses,
         categories=len(categories),
@@ -235,36 +260,6 @@ def _scene_seed(dataset_seed: int, scene_index: int) -> int:
     )
 
 
-# --- statistics ----------------------------------------------------------------
-
-
-def dataset_stats(
-    groups: Sequence[PointGroup], scene: SceneModel | None = None
-) -> dict[str, int]:
-    """Table-style summary: Points, Poses, Categories, Instances, Maps.
-
-    Instance and category counts are over the distinct nonzero instance ids
-    actually visible in the frames; categories require the scene's
-    instance-to-category map and are 0 when no scene is given.
-    """
-    points = len(groups)
-    poses = sum(len(g.database_frames) + len(g.query_frames) for g in groups)
-    seen: set[int] = set()
-    for g in groups:
-        for f in g.frames():
-            seen.update(int(v) for v in np.unique(f.instances) if v != 0)
-    categories = 0
-    if scene is not None and seen:
-        categories = len({scene.category_of(i) for i in seen} - {None})
-    return {
-        "points": points,
-        "poses": poses,
-        "categories": categories,
-        "instances": len(seen),
-        "maps": 1 if groups else 0,
-    }
-
-
 # --- raster files ----------------------------------------------------------------
 
 
@@ -276,16 +271,7 @@ def write_ppm(path: Path, rgb: np.ndarray) -> None:
 
 
 def read_ppm(path: Path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            magic, dims, maxval, data = _read_netpbm(fh)
-    except OSError as e:
-        raise DatasetFormatError(f"cannot read {path}: {e}") from e
-    if magic != b"P6" or maxval != 255:
-        raise DatasetFormatError(f"{path}: expected binary PPM with maxval 255")
-    w, h = dims
-    arr = np.frombuffer(data, dtype=np.uint8, count=w * h * 3)
-    return arr.reshape(h, w, 3)
+    return _read_netpbm(path, b"P6", 255, np.uint8, (3,))
 
 
 def write_pgm16(path: Path, values: np.ndarray) -> None:
@@ -296,40 +282,49 @@ def write_pgm16(path: Path, values: np.ndarray) -> None:
 
 
 def read_pgm16(path: Path) -> np.ndarray:
+    return _read_netpbm(path, b"P5", 65535, ">u2", ())
+
+
+def _read_netpbm(path: Path, magic: bytes, maxval: int, dtype, channels: tuple) -> np.ndarray:
+    """The raster of a binary netpbm file whose payload is exactly the
+    (height, width, *channels) array its header announces."""
     try:
         with open(path, "rb") as fh:
-            magic, dims, maxval, data = _read_netpbm(fh)
+            found = fh.readline().strip()
+            fields: list[int] = []
+            while len(fields) < 3:
+                line = fh.readline()
+                if not line:
+                    raise DatasetFormatError(f"{path}: truncated netpbm header")
+                for tok in line.split(b"#", 1)[0].split():
+                    if not tok.isdigit():
+                        raise DatasetFormatError(f"{path}: bad netpbm header token {tok!r}")
+                    fields.append(int(tok))
+            data = fh.read()
     except OSError as e:
         raise DatasetFormatError(f"cannot read {path}: {e}") from e
-    if magic != b"P5" or maxval != 65535:
-        raise DatasetFormatError(f"{path}: expected 16-bit binary PGM")
-    w, h = dims
-    return np.frombuffer(data, dtype=">u2", count=w * h).reshape(h, w)
-
-
-def _read_netpbm(fh):
-    magic = fh.readline().strip()
-    fields: list[int] = []
-    while len(fields) < 3:
-        line = fh.readline()
-        if not line:
-            raise DatasetFormatError(f"{fh.name}: truncated netpbm header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in text.split())
-    return magic, (fields[0], fields[1]), fields[2], fh.read()
+    if found != magic or len(fields) != 3 or fields[2] != maxval:
+        raise DatasetFormatError(f"{path}: expected {magic.decode()} netpbm with maxval {maxval}")
+    shape = (fields[1], fields[0], *channels)
+    dtype = np.dtype(dtype)
+    expected = math.prod(shape) * dtype.itemsize
+    if len(data) != expected:
+        raise DatasetFormatError(
+            f"{path}: {len(data)} raster bytes, the header announces {expected}"
+        )
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 # --- frame files ----------------------------------------------------------------
 
 
-def _frame_stem(frame: Frame) -> str:
-    prefix = "db" if frame.is_database else "q"
-    return f"{prefix}_{frame.frame_id}"
+def _frame_stem(directory: Path, frame_id: int, is_database: bool) -> Path:
+    return directory / f"{'db' if is_database else 'q'}_{frame_id}"
 
 
 def write_frame(frame: Frame, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    stem = directory / _frame_stem(frame)
+    stem = _frame_stem(directory, frame.frame_id, frame.is_database)
     write_ppm(stem.with_suffix(".rgb"), frame.rgb)
     depth_u16 = np.round(frame.depth * DEPTH_LEVELS).astype(np.uint16)
     write_pgm16(stem.with_suffix(".depth"), depth_u16)
@@ -337,15 +332,18 @@ def write_frame(frame: Frame, directory: Path) -> None:
     stem.with_suffix(".pose").write_text(pose_to_text(frame.pose) + "\n", encoding="ascii")
 
 
-def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool) -> Frame:
-    stem = directory / (("db" if is_database else "q") + f"_{frame_id}")
-    pose_path = stem.with_suffix(".pose")
-    if not pose_path.exists():
-        raise DatasetFormatError(f"missing pose file {pose_path}")
+def _read_pose(path: Path) -> Pose:
+    if not path.exists():
+        raise DatasetFormatError(f"missing pose file {path}")
     try:
-        pose = pose_from_text(pose_path.read_text(encoding="ascii").strip())
-    except ValueError as e:
-        raise DatasetFormatError(f"corrupt pose file {pose_path}: {e}") from e
+        return pose_from_text(path.read_text(encoding="ascii").strip())
+    except (OSError, ValueError) as e:
+        raise DatasetFormatError(f"corrupt pose file {path}: {e}") from e
+
+
+def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool) -> Frame:
+    stem = _frame_stem(directory, frame_id, is_database)
+    pose = _read_pose(stem.with_suffix(".pose"))
     rgb = read_ppm(stem.with_suffix(".rgb"))
     depth = read_pgm16(stem.with_suffix(".depth")).astype(np.float64) / DEPTH_LEVELS
     inst = read_pgm16(stem.with_suffix(".inst")).astype(np.uint16)
@@ -447,58 +445,7 @@ def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest
         raise DatasetFormatError(f"corrupt manifest {path}: {e}") from e
 
 
-def build_manifest(
-    seed: int,
-    params: GenerationParams,
-    per_scene: Sequence[tuple[str, SceneModel, Sequence[PointGroup]]],
-) -> DatasetManifest:
-    summaries = []
-    points = poses = instances = 0
-    categories: set[tuple[int, int]] = set()
-    for name, scene, groups in per_scene:
-        stats = dataset_stats(groups, scene)
-        summaries.append(SceneSummary(name, scene.seed, stats["points"], stats["poses"]))
-        points += stats["points"]
-        poses += stats["poses"]
-        instances += stats["instances"]
-        for g in groups:
-            for f in g.frames():
-                for v in np.unique(f.instances):
-                    if v != 0:
-                        cat = scene.category_of(int(v))
-                        if cat is not None:
-                            categories.add((scene.seed, cat))
-    return DatasetManifest(
-        seed=seed,
-        scenes=tuple(summaries),
-        points=points,
-        poses=poses,
-        categories=len({c for _, c in categories}),
-        instances=instances,
-        maps=len(per_scene),
-        params=params,
-    )
-
-
 # --- dataset directories ---------------------------------------------------------
-
-
-def write_dataset(
-    scene: SceneModel,
-    groups: Sequence[PointGroup],
-    manifest: DatasetManifest,
-    directory: str | Path,
-) -> None:
-    """Write one scene dataset: manifest, scene boxes, and all frames."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "manifest.txt").write_text(manifest_to_text(manifest), encoding="ascii")
-    (directory / "scene.txt").write_text(scene_to_text(scene), encoding="ascii")
-    for g in groups:
-        for f in g.database_frames:
-            write_frame(f, directory / "points" / str(g.point_id))
-        for f in g.query_frames:
-            write_frame(f, directory / "queries" / str(g.point_id))
 
 
 def load_scene_model(directory: str | Path) -> SceneModel:
@@ -525,32 +472,57 @@ def _numeric_subdirs(path: Path) -> list[int]:
 
 
 def _frame_ids(directory: Path, prefix: str) -> list[int]:
+    """Frame ids of the <prefix>_<id>.pose files in a point directory."""
     if not directory.exists():
         return []
     ids = []
     for p in directory.glob(f"{prefix}_*.pose"):
-        ids.append(int(p.stem.split("_", 1)[1]))
+        text = p.stem.split("_", 1)[1]
+        if not (text.isdecimal() and str(int(text)) == text):
+            raise DatasetFormatError(f"{p}: not a {prefix}_<frame id>.pose file")
+        ids.append(int(text))
     return sorted(ids)
 
 
-def iter_point_groups(directory: str | Path) -> Iterator[PointGroup]:
-    """Stream point groups from a single-scene dataset directory."""
-    directory = Path(directory)
-    points_root = directory / "points"
-    queries_root = directory / "queries"
-    for pid in _numeric_subdirs(points_root):
-        db_dir = points_root / str(pid)
-        db = [read_frame(db_dir, pid, k, True) for k in _frame_ids(db_dir, "db")]
-        q_dir = queries_root / str(pid)
-        queries = [read_frame(q_dir, pid, k, False) for k in _frame_ids(q_dir, "q")]
-        if not db:
-            raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
-        center = db[0].pose.translation.copy()
-        yield PointGroup(pid, center, tuple(db), tuple(queries))
+def _scenes(root: str | Path) -> Iterator[tuple[Path, int]]:
+    """(scene directory, point id offset) for every scene of a dataset."""
+    for s, scene_dir in enumerate(scene_directories(root)):
+        yield scene_dir, s * SCENE_POINT_ID_STRIDE
+
+
+def iter_point_groups(root: str | Path) -> Iterator[PointGroup]:
+    """Stream the point groups of every scene of a dataset, in scene order."""
+    for directory, offset in _scenes(root):
+        points_root = directory / "points"
+        queries_root = directory / "queries"
+        for pid in _numeric_subdirs(points_root):
+            db_dir = points_root / str(pid)
+            q_dir = queries_root / str(pid)
+            gid = pid + offset
+            db = [read_frame(db_dir, gid, k, True) for k in _frame_ids(db_dir, "db")]
+            queries = [read_frame(q_dir, gid, k, False) for k in _frame_ids(q_dir, "q")]
+            if not db:
+                raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
+            center = db[0].pose.translation.copy()
+            yield PointGroup(gid, center, tuple(db), tuple(queries))
+
+
+def query_poses(root: str | Path) -> dict[tuple[int, int], Pose]:
+    """(point id, frame id) -> ground-truth pose of every query of a dataset,
+    keyed by the point ids iter_point_groups gives."""
+    poses = {}
+    for directory, offset in _scenes(root):
+        queries_root = directory / "queries"
+        for pid in _numeric_subdirs(queries_root):
+            q_dir = queries_root / str(pid)
+            for k in _frame_ids(q_dir, "q"):
+                pose_path = _frame_stem(q_dir, k, False).with_suffix(".pose")
+                poses[(pid + offset, k)] = _read_pose(pose_path)
+    return poses
 
 
 def load_dataset(directory: str | Path) -> tuple[list[PointGroup], DatasetManifest]:
-    """Load a single-scene dataset fully into memory and validate its counts."""
+    """Load a dataset fully into memory and validate its pose count."""
     directory = Path(directory)
     manifest = load_manifest(directory)
     groups = list(iter_point_groups(directory))

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from pointloc.geometry import Pose, rotation_error, translation_error
+from pointloc.pipeline import TIMING_STAGES, StageTimings
 
 THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (1.0, 10.0), (5.0, 20.0))
 
@@ -23,16 +24,6 @@ MARKDOWN_HEADER = (
     "| configuration | (5m,20°) | (1m,10°) | (0.5m,5°) | (0.25m,2°) "
     "| (5m) | (1m) | (0.5m) | (0.25m) | queries |"
 )
-
-TIMING_STAGES = (
-    ("embedding_extraction", "Embedding extraction"),
-    ("embedding_matching", "Embedding matching"),
-    ("feature_extraction", "Feature extraction"),
-    ("feature_matching", "Feature matching"),
-    ("pose_optimization", "Pose optimization"),
-    ("overall", "Overall"),
-)
-
 
 class EvaluationError(Exception):
     pass
@@ -105,18 +96,13 @@ def check_monotonicity(row: RecallRow) -> None:
 
 
 @dataclass(frozen=True)
-class TimingReport:
-    embedding_extraction: float
-    embedding_matching: float
-    feature_extraction: float
-    feature_matching: float
-    pose_optimization: float
-    overall: float
+class TimingReport(StageTimings):
+    """Mean seconds of each stage over a set of queries."""
+
     hardware: str = ""
 
     def __post_init__(self) -> None:
-        values = [getattr(self, name) for name, _ in TIMING_STAGES]
-        if any(v < 0 for v in values):
+        if any(getattr(self, name) < 0 for name in TIMING_STAGES):
             raise ValueError("stage means must be nonnegative")
 
 
@@ -125,16 +111,8 @@ def timing_report(results: Sequence, hardware: str = "") -> TimingReport:
     if not results:
         raise ValueError("cannot build a timing report from no results")
     n = len(results)
-    t = [r.timings for r in results]
-    return TimingReport(
-        embedding_extraction=sum(x.embedding_extraction for x in t) / n,
-        embedding_matching=sum(x.embedding_matching for x in t) / n,
-        feature_extraction=sum(x.feature_extraction for x in t) / n,
-        feature_matching=sum(x.feature_matching for x in t) / n,
-        pose_optimization=sum(x.pose_optimization for x in t) / n,
-        overall=sum(x.total for x in t) / n,
-        hardware=hardware,
-    )
+    means = {name: sum(getattr(r.timings, name) for r in results) / n for name in TIMING_STAGES}
+    return TimingReport(**means, hardware=hardware)
 
 
 # --- report rendering ---------------------------------------------------------
@@ -176,18 +154,10 @@ def render_recall_markdown(table: RecallTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_timing_csv(report: TimingReport) -> str:
-    lines = ["stage,mean_seconds"]
-    for name, label in TIMING_STAGES:
-        lines.append(f"{label},{getattr(report, name):.17g}")
-    if report.hardware:
-        lines.append(f"hardware,{report.hardware}")
-    return "\n".join(lines) + "\n"
-
-
 def render_timing_markdown(report: TimingReport) -> str:
     lines = ["| stage | mean seconds |", "|---|---|"]
-    for name, label in TIMING_STAGES:
+    for name in TIMING_STAGES:
+        label = name.replace("_", " ").capitalize()
         lines.append(f"| {label} | {getattr(report, name):.5f} |")
     out = "\n".join(lines) + "\n"
     if report.hardware:
@@ -195,23 +165,11 @@ def render_timing_markdown(report: TimingReport) -> str:
     return out
 
 
-def emit_report(
-    table: RecallTable,
-    timing: TimingReport | None,
-    fmt: str,
-    path: str | Path,
-) -> None:
-    """Write the recall table (and optional timing report) as markdown or csv."""
+def emit_report(table: RecallTable, fmt: str, path: str | Path) -> None:
+    """Write the recall table as markdown or csv."""
     if fmt not in ("markdown", "csv"):
         raise ValueError(f"format must be markdown or csv, got {fmt!r}")
-    if fmt == "csv":
-        text = render_recall_csv(table)
-        if timing is not None:
-            text += "\n" + render_timing_csv(timing)
-    else:
-        text = render_recall_markdown(table)
-        if timing is not None:
-            text += "\n" + render_timing_markdown(timing)
+    text = render_recall_csv(table) if fmt == "csv" else render_recall_markdown(table)
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as e:

@@ -18,14 +18,11 @@ the full test on every pixel.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from pointloc.binio import ExactReader
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
@@ -279,10 +276,6 @@ def _words(descriptors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(descriptors, dtype=np.uint8).view(np.uint64)
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.bitwise_count(np.bitwise_xor(_words(a), _words(b))).sum())
-
-
 def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of Hamming distances between descriptor sets."""
     a = _words(a)
@@ -346,28 +339,3 @@ def _two_smallest(dist: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, 
         masked[amin, np.arange(dist.shape[1])] = DESCRIPTOR_BITS + 1
     return amin, m1, masked.min(axis=axis)
 
-
-# --- descriptor dump format ------------------------------------------------------
-
-
-def dump_descriptors(descriptors: np.ndarray, path: str | Path) -> None:
-    """Binary dump: big-endian u32 count, u32 bits, then count x 32 bytes."""
-    descriptors = np.asarray(descriptors, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", len(descriptors), DESCRIPTOR_BITS))
-        fh.write(descriptors.tobytes())
-
-
-class DescriptorFormatError(ValueError):
-    """A descriptor dump that is truncated, corrupt or of another format."""
-
-
-def load_descriptors(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        r = ExactReader(fh, path, DescriptorFormatError)
-        count, bits = r.unpack(">II", "header")
-        if bits != DESCRIPTOR_BITS:
-            raise r.fail(f"expected {DESCRIPTOR_BITS}-bit descriptors, got {bits}")
-        data = r.array(count * DESCRIPTOR_BYTES, np.uint8, "descriptors")
-        r.expect_end("the descriptors")
-    return data.reshape(count, DESCRIPTOR_BYTES).copy()

@@ -11,9 +11,10 @@ falls back to the retrieved pose itself (the retrieval-only baseline).
 
 from __future__ import annotations
 
+import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -151,16 +152,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def config_to_text(config: PipelineConfig) -> str:
-    lines = []
-    for key in _CONFIG_PARSERS:
-        v = getattr(config, key)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{key} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class DatabaseFrame:
     frame_id: int
@@ -231,14 +222,15 @@ def build_database(
 
 @dataclass(frozen=True)
 class StageTimings:
-    """Wall-clock seconds of each localization stage for one query."""
+    """Wall-clock seconds of each localization stage for one query, in the
+    order timing reports list them; `overall` is the whole query."""
 
-    feature_extraction: float = 0.0
     embedding_extraction: float = 0.0
     embedding_matching: float = 0.0
+    feature_extraction: float = 0.0
     feature_matching: float = 0.0
     pose_optimization: float = 0.0
-    total: float = 0.0
+    overall: float = 0.0
 
     @property
     def retrieval(self) -> float:
@@ -251,6 +243,9 @@ class StageTimings:
     @property
     def registration(self) -> float:
         return self.pose_optimization
+
+
+TIMING_STAGES = tuple(f.name for f in fields(StageTimings))
 
 
 @dataclass(frozen=True)
@@ -279,6 +274,7 @@ class _StageClock:
         self._mark = self._start
 
     def lap(self, name: str) -> None:
+        """Charge the time since the previous lap to the StageTimings field `name`."""
         now = time.perf_counter()
         self.values[name] = self.values.get(name, 0.0) + (now - self._mark)
         self._mark = now
@@ -286,14 +282,7 @@ class _StageClock:
     def timings(self) -> StageTimings:
         if not self.enabled:
             return StageTimings()
-        return StageTimings(
-            feature_extraction=self.values.get("feature_extraction", 0.0),
-            embedding_extraction=self.values.get("embedding_extraction", 0.0),
-            embedding_matching=self.values.get("embedding_matching", 0.0),
-            feature_matching=self.values.get("feature_matching", 0.0),
-            pose_optimization=self.values.get("pose_optimization", 0.0),
-            total=time.perf_counter() - self._start,
-        )
+        return StageTimings(**self.values, overall=time.perf_counter() - self._start)
 
 
 def _register(
@@ -341,14 +330,18 @@ def backproject_keypoints(
 
 
 def localize(
-    db: LocalizationDatabase, query: Frame, config: PipelineConfig
+    db: LocalizationDatabase,
+    query: Frame,
+    config: PipelineConfig,
+    retrieval_only: bool = False,
 ) -> LocalizationResult:
     """Full three-stage localization of one query frame.
 
     The estimated pose is P_db_top1 composed with the relative transform that
     maps query-camera points into top1-camera coordinates; when matching or
     registration cannot produce one, the retrieved pose itself is returned
-    with fallback=True.
+    with fallback=True.  With retrieval_only the query stops after retrieval
+    and answers with the retrieved pose (the retrieval-only baseline).
     """
     clock = _StageClock(config.record_timings)
     query_xy, query_desc = extract_frame_features(query, config)
@@ -359,66 +352,41 @@ def localize(
     clock.lap("embedding_matching")
 
     db_frame = db.frame_by_id(top1_id)
-    matches = match(query_desc, db_frame.descriptors, config.ratio, config.mutual)
-    clock.lap("feature_matching")
+    pose, match_count, inliers, fallback = db_frame.pose, 0, 0, True
+    if not retrieval_only:
+        matches = match(query_desc, db_frame.descriptors, config.ratio, config.mutual)
+        match_count = len(matches)
+        clock.lap("feature_matching")
 
-    q_points, q_valid = backproject_keypoints(query_xy, query.depth, db.intrinsics)
-    d_points, d_valid = backproject_keypoints(
-        db_frame.keypoint_xy, db_frame.depth, db.intrinsics
-    )
-    qi = np.array([m.query_index for m in matches], dtype=np.int64)
-    di = np.array([m.db_index for m in matches], dtype=np.int64)
-    lifted = q_valid[qi] & d_valid[di]
-    p_query, p_db = q_points[qi[lifted]], d_points[di[lifted]]
+        q_points, q_valid = backproject_keypoints(query_xy, query.depth, db.intrinsics)
+        d_points, d_valid = backproject_keypoints(
+            db_frame.keypoint_xy, db_frame.depth, db.intrinsics
+        )
+        qi = np.array([m.query_index for m in matches], dtype=np.int64)
+        di = np.array([m.db_index for m in matches], dtype=np.int64)
+        lifted = q_valid[qi] & d_valid[di]
+        p_query, p_db = q_points[qi[lifted]], d_points[di[lifted]]
 
-    fallback = True
-    pose = db_frame.pose
-    inliers = 0
-    if len(p_query) >= config.min_matches:
-        seed = (
-            config.ransac_seed * 1000003 + query.point_id * 1009 + query.frame_id
-        ) % (2**63)
-        try:
-            relative, inliers = _register(
-                p_query, p_db, q_points[q_valid], d_points[d_valid], config, seed
-            )
-            pose = compose(db_frame.pose, relative)
-            fallback = False
-        except RegistrationError:
-            fallback = True
-            pose = db_frame.pose
-            inliers = 0
-    clock.lap("pose_optimization")
+        if len(p_query) >= config.min_matches:
+            seed = (
+                config.ransac_seed * 1000003 + query.point_id * 1009 + query.frame_id
+            ) % (2**63)
+            try:
+                relative, inliers = _register(
+                    p_query, p_db, q_points[q_valid], d_points[d_valid], config, seed
+                )
+                pose = compose(db_frame.pose, relative)
+                fallback = False
+            except RegistrationError:
+                pass  # the retrieved pose stands
+        clock.lap("pose_optimization")
 
     return LocalizationResult(
         estimated_pose=pose,
         top1_frame_id=top1_id,
-        match_count=len(matches),
+        match_count=match_count,
         inlier_count=inliers,
         fallback=fallback,
-        timings=clock.timings(),
-        query_point_id=query.point_id,
-        query_frame_id=query.frame_id,
-    )
-
-
-def retrieval_only_localize(
-    db: LocalizationDatabase, query: Frame, config: PipelineConfig
-) -> LocalizationResult:
-    """Top-1 retrieved pose as the answer; no matching or registration."""
-    clock = _StageClock(config.record_timings)
-    _, query_desc = extract_frame_features(query, config)
-    clock.lap("feature_extraction")
-    embedding = _embed(query_desc, db.vocabulary, config.retrieval)
-    clock.lap("embedding_extraction")
-    top1_id, _ = query_top1(db.index, embedding)
-    clock.lap("embedding_matching")
-    return LocalizationResult(
-        estimated_pose=db.frame_by_id(top1_id).pose,
-        top1_frame_id=top1_id,
-        match_count=0,
-        inlier_count=0,
-        fallback=True,
         timings=clock.timings(),
         query_point_id=query.point_id,
         query_frame_id=query.frame_id,
@@ -467,27 +435,47 @@ class ResultRow:
     t_registration: float
 
 
+class ResultsFormatError(ValueError):
+    """A results file line that is not what write_results writes."""
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def read_results(path: str | Path) -> list[ResultRow]:
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as e:
+        raise ResultsFormatError(f"{path}: not an ASCII results file: {e}") from e
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 14:
-            raise ValueError(f"{path}:{lineno}: expected 14 fields, got {len(parts)}")
-        pose = pose_from_text(" ".join(parts[4:11]))
-        rows.append(
-            ResultRow(
-                query_frame_id=int(parts[0]),
-                query_point_id=int(parts[1]),
-                top1_frame_id=int(parts[2]),
-                fallback=parts[3] == "1",
-                pose=pose,
-                t_retrieval=float(parts[11]),
-                t_matching=float(parts[12]),
-                t_registration=float(parts[13]),
+        try:
+            if len(parts) != 14:
+                raise ValueError(f"expected 14 fields, got {len(parts)}")
+            if parts[3] not in ("0", "1"):
+                raise ValueError(f"fallback must be 0 or 1, got {parts[3]!r}")
+            numbers = [_finite(v) for v in parts[4:]]
+            rows.append(
+                ResultRow(
+                    query_frame_id=int(parts[0]),
+                    query_point_id=int(parts[1]),
+                    top1_frame_id=int(parts[2]),
+                    fallback=parts[3] == "1",
+                    pose=pose_from_text(" ".join(parts[4:11])),
+                    t_retrieval=numbers[7],
+                    t_matching=numbers[8],
+                    t_registration=numbers[9],
+                )
             )
-        )
+        except ValueError as e:
+            raise ResultsFormatError(f"{path}:{lineno}: {e}") from e
     return rows
 
 

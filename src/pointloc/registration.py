@@ -10,7 +10,6 @@ SVD factorization (det +1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -455,24 +454,3 @@ def gnc_tls_register(
         residual_history=tuple(history),
     )
 
-
-# --- correspondence debug dump -----------------------------------------------------
-
-
-def correspondences_to_text(p_query: np.ndarray, p_db: np.ndarray) -> str:
-    q = _as_points(p_query, "p_query")
-    d = _as_points(p_db, "p_db")
-    lines = [
-        " ".join(f"{v:.17g}" for v in (*q[i], *d[i])) for i in range(len(q))
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def correspondences_from_text(text: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = [[float(v) for v in line.split()] for line in text.splitlines() if line.strip()]
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
-    return arr[:, :3].copy(), arr[:, 3:].copy()
-
-
-def dump_correspondences(p_query: np.ndarray, p_db: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(correspondences_to_text(p_query, p_db), encoding="ascii")

@@ -333,26 +333,3 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         idf = r.array(k, ">f8", "idf weights").astype(np.float64)
         r.expect_end("the idf weights")
     return Vocabulary(k, centroids.reshape(k, DESCRIPTOR_BYTES).copy(), idf, seed)
-
-
-def dump_embeddings(embeddings: Sequence[GlobalEmbedding], path: str | Path) -> None:
-    """Binary: u32 count, u32 dim (big-endian), then row-major f8 values."""
-    count = len(embeddings)
-    dim = len(embeddings[0].values) if count else 0
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", count, dim))
-        for e in embeddings:
-            fh.write(np.ascontiguousarray(e.values, dtype=">f8").tobytes())
-
-
-class EmbeddingFormatError(ValueError):
-    """An embeddings dump that is truncated, corrupt or of another format."""
-
-
-def load_embeddings(path: str | Path, variant: str) -> list[GlobalEmbedding]:
-    with open(path, "rb") as fh:
-        r = ExactReader(fh, path, EmbeddingFormatError)
-        count, dim = r.unpack(">II", "header")
-        data = r.array(count * dim, ">f8", "values").astype(np.float64)
-        r.expect_end("the values")
-    return [GlobalEmbedding(row.copy(), variant) for row in data.reshape(count, dim)]

@@ -46,7 +46,6 @@ from pointloc.pipeline import (
     PipelineConfig,
     build_database,
     localize,
-    retrieval_only_localize,
     train_vocabulary_for_dataset,
 )
 from pointloc.registration import (
@@ -103,7 +102,7 @@ def pipeline_state(workspace):
     for group in iter_point_groups(dataset_dir):
         for query in group.query_frames:
             full.append((localize(db, query, CONFIG), query.pose))
-            baseline.append((retrieval_only_localize(db, query, CONFIG), query.pose))
+            baseline.append((localize(db, query, CONFIG, retrieval_only=True), query.pose))
     timings["localize"] = time.perf_counter() - t0
 
     return {"vocab": vocab, "db": db, "full": full, "baseline": baseline, "timings": timings}

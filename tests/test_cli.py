@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, main
@@ -163,6 +165,58 @@ class TestCorruptDatabase:
         )
         assert rc == EXIT_DATA
         assert "truncated" in capsys.readouterr().err
+
+
+class TestCorruptDataset:
+    @staticmethod
+    def copy(workspace, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace["dataset"], ds)
+        return ds, next((ds / "queries").iterdir())
+
+    @staticmethod
+    def localize(workspace, ds, tmp_path):
+        return main(
+            ["localize", "--db", str(workspace["db"]), "--dataset", str(ds),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "r.csv")]
+        )
+
+    @staticmethod
+    def evaluate(results, ds):
+        return main(["evaluate", "--results", str(results), "--dataset", str(ds)])
+
+    def test_stray_pose_file_is_data_error(self, workspace, tmp_path, capsys):
+        ds, q_dir = self.copy(workspace, tmp_path)
+        (q_dir / "q_x.pose").write_text("0 0 0 1 0 0 0\n")
+        assert self.localize(workspace, ds, tmp_path) == EXIT_DATA
+        assert "q_x.pose" in capsys.readouterr().err
+        assert self.evaluate(workspace["results"], ds) == EXIT_DATA
+        assert "q_x.pose" in capsys.readouterr().err
+
+    def test_corrupt_query_pose_is_data_error(self, workspace, tmp_path, capsys):
+        ds, q_dir = self.copy(workspace, tmp_path)
+        victim = sorted(q_dir.glob("q_*.pose"))[0]
+        victim.write_text("1 2 3\n")
+        assert self.evaluate(workspace["results"], ds) == EXIT_DATA
+        assert f"corrupt pose file {victim}" in capsys.readouterr().err
+
+    def test_truncated_raster_is_data_error(self, workspace, tmp_path, capsys):
+        ds, q_dir = self.copy(workspace, tmp_path)
+        victim = sorted(q_dir.glob("q_*.rgb"))[0]
+        victim.write_bytes(victim.read_bytes()[:100])
+        assert self.localize(workspace, ds, tmp_path) == EXIT_DATA
+        assert str(victim) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [(3, "x"), (3, "2"), (4, "abc"), (13, "nan")])
+    def test_corrupt_results_is_data_error(self, workspace, tmp_path, capsys, field, value):
+        lines = workspace["results"].read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[field] = value
+        lines[1] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self.evaluate(bad, workspace["dataset"]) == EXIT_DATA
+        assert f"{bad}:2:" in capsys.readouterr().err
 
 
 class TestCorruptVocabulary:

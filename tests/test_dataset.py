@@ -1,19 +1,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pointloc.dataset import (
+    SCENE_POINT_ID_STRIDE,
     DatasetFormatError,
     DatasetManifest,
     GenerationParams,
     InvalidKeyPoseError,
-    PointGroup,
     SceneSummary,
-    build_manifest,
-    dataset_stats,
+    generate_dataset_to_dir,
     generate_point_frames,
     generate_scene_dataset,
     iter_point_groups,
@@ -21,14 +21,12 @@ from pointloc.dataset import (
     load_scene_model,
     manifest_from_text,
     manifest_to_text,
+    query_poses,
     read_pgm16,
     read_ppm,
-    write_dataset,
     write_pgm16,
     write_ppm,
 )
-from pointloc.geometry import Pose
-from pointloc.render import Frame
 from pointloc.scene import (
     Box,
     GridPoint,
@@ -54,11 +52,12 @@ def small_dataset():
     return scene, groups
 
 
-def fake_frame(point_id, frame_id, is_database, inst_value=1):
-    rgb = np.zeros((4, 4, 3), dtype=np.uint8)
-    depth = np.full((4, 4), 0.5)
-    inst = np.full((4, 4), inst_value, dtype=np.uint16)
-    return Frame(rgb, depth, inst, Pose.identity(), point_id, frame_id, is_database)
+# tiny rasters for the on-disk tests
+TINY = GenerationParams(
+    queries_per_point=2,
+    resolution=32,
+    scene=SceneParams(floor_width=6.0, floor_depth=6.0, min_obstacles=2, max_obstacles=3),
+)
 
 
 class TestGeneratePointFrames:
@@ -167,6 +166,31 @@ class TestRasterFiles:
         with pytest.raises(DatasetFormatError, match="bad.rgb"):
             read_ppm(bad)
 
+    @pytest.mark.parametrize("read, write, values", [
+        (read_ppm, write_ppm, np.arange(5 * 4 * 3, dtype=np.uint8).reshape(5, 4, 3)),
+        (read_pgm16, write_pgm16, np.arange(5 * 4, dtype=np.uint16).reshape(5, 4) * 999),
+    ])
+    def test_truncation_and_trailing_bytes_rejected(self, tmp_path, read, write, values):
+        write(tmp_path / "x", values)
+        data = (tmp_path / "x").read_bytes()
+        for blob in [data[:cut] for cut in range(len(data))] + [data + b"\x00"]:
+            (tmp_path / "bad").write_bytes(blob)
+            with pytest.raises(DatasetFormatError, match="bad"):
+                read(tmp_path / "bad")
+
+    @pytest.mark.parametrize("header", [
+        b"P6\n4 x\n255\n", b"P6\n4 -5\n255\n", b"P6\n4 5.0\n255\n", b"P6\n4 5 255 9\n",
+        b"P6\n4 5\n65535\n", b"P5\n4 5\n255\n",
+    ])
+    def test_bad_header_rejected(self, tmp_path, header):
+        (tmp_path / "bad.rgb").write_bytes(header + bytes(60))
+        with pytest.raises(DatasetFormatError, match="bad.rgb"):
+            read_ppm(tmp_path / "bad.rgb")
+
+    def test_header_comments_accepted(self, tmp_path):
+        (tmp_path / "x.rgb").write_bytes(b"P6\n# made by hand\n2 1 # size\n255\n" + bytes(range(6)))
+        assert read_ppm(tmp_path / "x.rgb").tolist() == [[[0, 1, 2], [3, 4, 5]]]
+
 
 class TestDatasetIO:
     def test_round_trip_exact(self, tmp_path):
@@ -176,15 +200,15 @@ class TestDatasetIO:
             scene=SceneParams(floor_width=6.0, floor_depth=6.0, min_obstacles=2, max_obstacles=3),
         )
         scene, groups = generate_scene_dataset(seed=5, params=params)
-        groups = groups[:1]
-        manifest = build_manifest(5, params, [("scene_0", scene, groups)])
-        write_dataset(scene, groups, manifest, tmp_path / "ds")
+        manifest = generate_dataset_to_dir(5, params, tmp_path / "ds")
 
         loaded_groups, loaded_manifest = load_dataset(tmp_path / "ds")
         assert loaded_manifest == manifest
         assert load_scene_model(tmp_path / "ds") == scene
-        assert len(loaded_groups) == 1
-        for orig, got in zip(groups[0].frames(), loaded_groups[0].frames()):
+        assert len(loaded_groups) == len(groups)
+        for orig, got in zip(
+            (f for g in groups for f in g.frames()), (f for g in loaded_groups for f in g.frames())
+        ):
             assert np.array_equal(orig.rgb, got.rgb)
             assert np.array_equal(orig.depth, got.depth)
             assert np.array_equal(orig.instances, got.instances)
@@ -200,26 +224,12 @@ class TestDatasetIO:
             load_dataset(tmp_path)
 
     def test_manifest_pose_count_recount(self, tmp_path):
-        params = GenerationParams(
-            queries_per_point=2,
-            resolution=32,
-            scene=SceneParams(floor_width=6.0, floor_depth=6.0, min_obstacles=2, max_obstacles=3),
-        )
-        scene, groups = generate_scene_dataset(seed=5, params=params)
-        manifest = build_manifest(5, params, [("scene_0", scene, groups)])
-        write_dataset(scene, groups, manifest, tmp_path / "ds")
+        manifest = generate_dataset_to_dir(5, TINY, tmp_path / "ds")
         pose_files = list((tmp_path / "ds").rglob("*.pose"))
         assert len(pose_files) == manifest.poses
 
     def test_pose_count_mismatch_detected(self, tmp_path):
-        params = GenerationParams(
-            queries_per_point=2,
-            resolution=32,
-            scene=SceneParams(floor_width=6.0, floor_depth=6.0, min_obstacles=2, max_obstacles=3),
-        )
-        scene, groups = generate_scene_dataset(seed=5, params=params)
-        manifest = build_manifest(5, params, [("scene_0", scene, groups)])
-        write_dataset(scene, groups, manifest, tmp_path / "ds")
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
         victim = next((tmp_path / "ds" / "queries").rglob("q_*.pose"))
         for suffix in (".pose", ".rgb", ".depth", ".inst"):
             victim.with_suffix(suffix).unlink()
@@ -227,17 +237,42 @@ class TestDatasetIO:
             load_dataset(tmp_path / "ds")
 
     def test_streaming_iter_matches_load(self, tmp_path):
-        params = GenerationParams(
-            queries_per_point=2,
-            resolution=32,
-            scene=SceneParams(floor_width=6.0, floor_depth=6.0, min_obstacles=2, max_obstacles=3),
-        )
-        scene, groups = generate_scene_dataset(seed=5, params=params)
-        manifest = build_manifest(5, params, [("scene_0", scene, groups)])
-        write_dataset(scene, groups, manifest, tmp_path / "ds")
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
         streamed = list(iter_point_groups(tmp_path / "ds"))
         loaded, _ = load_dataset(tmp_path / "ds")
         assert [g.point_id for g in streamed] == [g.point_id for g in loaded]
+
+    def test_multi_scene_point_ids_offset_per_scene(self, tmp_path):
+        params = replace(TINY, scenes=2)
+        manifest = generate_dataset_to_dir(5, params, tmp_path / "ds")
+        assert [s.name for s in manifest.scenes] == ["scene_0", "scene_1"]
+        groups = list(iter_point_groups(tmp_path / "ds"))
+        per_scene = [list(iter_point_groups(tmp_path / "ds" / s.name)) for s in manifest.scenes]
+        assert [g.point_id for g in groups] == [g.point_id for g in per_scene[0]] + [
+            g.point_id + SCENE_POINT_ID_STRIDE for g in per_scene[1]
+        ]
+        assert all(f.point_id == g.point_id for g in groups for f in g.frames())
+        assert sum(len(g.database_frames) + len(g.query_frames) for g in groups) == manifest.poses
+        poses = query_poses(tmp_path / "ds")
+        assert poses == {(q.point_id, q.frame_id): q.pose for g in groups for q in g.query_frames}
+
+    def test_stray_frame_file_names_file(self, tmp_path):
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
+        q_dir = next((tmp_path / "ds" / "queries").iterdir())
+        for name in ("q_x.pose", "q_01.pose", "q_-1.pose", "q_.pose"):
+            (q_dir / name).write_text("0 0 0 1 0 0 0\n")
+            for read in (lambda d: list(iter_point_groups(d)), query_poses):
+                with pytest.raises(DatasetFormatError, match=name):
+                    read(tmp_path / "ds")
+            (q_dir / name).unlink()
+
+    def test_corrupt_query_pose_names_file(self, tmp_path):
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
+        victim = next((tmp_path / "ds" / "queries").rglob("q_*.pose"))
+        for text in ("1 2 3\n", "a b c d e f g\n", "0 0 0 0 0 0 0\n"):
+            victim.write_text(text)
+            with pytest.raises(DatasetFormatError, match=f"corrupt pose file {victim}"):
+                query_poses(tmp_path / "ds")
 
 
 class TestManifest:
@@ -261,38 +296,14 @@ class TestManifest:
 
 
 class TestDatasetStats:
-    def test_val_shaped_dataset(self):
-        # 23 points, 6 db frames each + 950 queries = 1088 poses, one map
-        groups = []
-        queries_each = [42] * 20 + [38, 37, 35]
-        assert 23 * 6 + sum(queries_each) == 1088
-        for pid in range(23):
-            db = tuple(fake_frame(pid, i, True) for i in range(6))
-            qs = tuple(fake_frame(pid, i, False) for i in range(queries_each[pid]))
-            groups.append(PointGroup(pid, np.zeros(3), db, qs))
-        stats = dataset_stats(groups)
-        assert stats["points"] == 23
-        assert stats["poses"] == 1088
-        assert stats["maps"] == 1
-
-    def test_empty_dataset(self):
-        stats = dataset_stats([])
-        assert stats == {
-            "points": 0,
-            "poses": 0,
-            "categories": 0,
-            "instances": 0,
-            "maps": 0,
-        }
-
-    def test_instances_are_distinct_ids_seen(self, small_dataset):
+    def test_instances_are_distinct_ids_seen(self, small_dataset, tmp_path):
         scene, groups = small_dataset
-        stats = dataset_stats(groups, scene)
+        manifest = generate_dataset_to_dir(3, SMALL, tmp_path / "ds")
         # independent recount by set union over every raster
         union = set()
         for g in groups:
             for f in g.frames():
                 union |= {int(v) for v in f.instances.ravel() if v != 0}
-        assert stats["instances"] == len(union)
+        assert manifest.instances == len(union)
         cats = {scene.category_of(i) for i in union}
-        assert stats["categories"] == len(cats - {None})
+        assert manifest.categories == len(cats - {None})

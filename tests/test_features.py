@@ -10,15 +10,11 @@ from oracles import describe_dense, detect_dense, fast_segment_test, hamming
 from pointloc.features import (
     BORDER_MARGIN,
     DESCRIPTOR_BITS,
-    DescriptorFormatError,
     Keypoints,
     Match,
     describe,
     detect,
-    dump_descriptors,
-    hamming_distance,
     hamming_matrix,
-    load_descriptors,
     match,
     to_grayscale,
 )
@@ -232,7 +228,7 @@ class TestDescribe:
             j = int(np.argmin(d2))
             if d2[j] <= 1.0:
                 redetected += 1
-                if hamming_distance(desc_a[i], desc_b[j]) < 64:
+                if hamming(desc_a[i], desc_b[j]) < 64:
                     close += 1
         assert redetected > 40
         assert close / redetected >= 0.7
@@ -250,11 +246,12 @@ class TestHamming:
     @settings(max_examples=50)
     @given(descriptor_arrays, descriptor_arrays, descriptor_arrays)
     def test_metric_axioms(self, a, b, c):
-        dab = hamming_distance(a, b)
+        m = hamming_matrix(np.stack([a, b, c]), np.stack([a, b, c]))
+        dab = m[0, 1]
         assert 0 <= dab <= DESCRIPTOR_BITS
-        assert dab == hamming_distance(b, a)
+        assert dab == m[1, 0]
         assert (dab == 0) == bool(np.array_equal(a, b))
-        assert hamming_distance(a, c) <= dab + hamming_distance(b, c)
+        assert m[0, 2] <= dab + m[1, 2]
 
 
 def brute_force_match(a, b, ratio=0.8, mutual=True):
@@ -347,27 +344,3 @@ class TestSelfConsistency:
             if np.linalg.norm(kp1.xy[m.query_index] - kp2.xy[m.db_index]) < 1.0
         )
         assert good / len(ms) >= 0.9
-
-
-class TestDescriptorDump:
-    def test_round_trip(self, tmp_path, rng):
-        desc = rng.integers(0, 256, size=(37, 32), dtype=np.uint8)
-        dump_descriptors(desc, tmp_path / "d.bin")
-        assert np.array_equal(load_descriptors(tmp_path / "d.bin"), desc)
-
-    def test_header_layout(self, tmp_path):
-        dump_descriptors(np.zeros((3, 32), dtype=np.uint8), tmp_path / "d.bin")
-        data = (tmp_path / "d.bin").read_bytes()
-        assert data[:8] == (3).to_bytes(4, "big") + (256).to_bytes(4, "big")
-        assert len(data) == 8 + 3 * 32
-
-    def test_truncation_and_corruption_rejected(self, tmp_path, rng, assert_each_rejected):
-        dump_descriptors(rng.integers(0, 256, size=(3, 32), dtype=np.uint8), tmp_path / "d.bin")
-        data = (tmp_path / "d.bin").read_bytes()
-        bad = [data[:cut] for cut in range(len(data))]  # every cut point
-        bad += [
-            data + b"\x00",  # trailing byte
-            data[:4] + (128).to_bytes(4, "big") + data[8:],  # descriptor width
-            (2**32 - 1).to_bytes(4, "big") + data[4:],  # count far past the end
-        ]
-        assert_each_rejected(load_descriptors, bad, DescriptorFormatError)

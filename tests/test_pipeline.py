@@ -19,14 +19,13 @@ from pointloc.pipeline import (
     PipelineConfig,
     StageTimings,
     backproject_keypoints,
+    ResultsFormatError,
     build_database,
-    config_to_text,
     load_database,
     localize,
     parse_config,
     read_results,
     result_to_csv_line,
-    retrieval_only_localize,
     save_database,
     train_vocabulary_for_dataset,
     write_results,
@@ -72,7 +71,8 @@ class TestConfig:
 
     def test_round_trip(self):
         cfg = PipelineConfig(retrieval="bow", method="ransac+icp", ratio=0.75, mutual=False)
-        assert parse_config(config_to_text(cfg)) == cfg
+        text = "retrieval = bow\nmethod = ransac+icp\nratio = 0.75\nmutual = false\n"
+        assert parse_config(text) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -108,7 +108,11 @@ class TestConfig:
             max_keypoints=1, fast_threshold=255, ratio=1.0, ransac_iters=1,
             icp_iters=0, icp_tol=0.0, ransac_threshold=1e-9, gnc_noise_bound=1e-9,
         )
-        assert parse_config(config_to_text(cfg)) == cfg
+        text = (
+            "max_keypoints = 1\nfast_threshold = 255\nratio = 1.0\nransac_iters = 1\n"
+            "icp_iters = 0\nicp_tol = 0.0\nransac_threshold = 1e-9\ngnc_noise_bound = 1e-9\n"
+        )
+        assert parse_config(text) == cfg
         assert PipelineConfig(fast_threshold=0).fast_threshold == 0
 
     def test_comments_and_blanks_ignored(self):
@@ -260,8 +264,8 @@ class TestLocalize:
             + t.feature_matching
             + t.pose_optimization
         )
-        assert stage_sum <= t.total
-        assert stage_sum >= 0.9 * t.total
+        assert stage_sum <= t.overall
+        assert stage_sum >= 0.9 * t.overall
 
     def test_record_timings_off_gives_zeros(self, dataset, db):
         cfg = PipelineConfig(record_timings=False)
@@ -340,7 +344,7 @@ class TestRetrievalOnly:
     def test_pose_is_top1_pose(self, dataset, db):
         cfg = PipelineConfig()
         q = dataset[1].query_frames[0]
-        res = retrieval_only_localize(db, q, cfg)
+        res = localize(db, q, cfg, retrieval_only=True)
         assert res.fallback
         assert res.match_count == 0 and res.inlier_count == 0
         assert res.estimated_pose == db.frame_by_id(res.top1_frame_id).pose
@@ -348,17 +352,33 @@ class TestRetrievalOnly:
     def test_db_frame_query_returns_exact_pose(self, dataset, db):
         cfg = PipelineConfig()
         frame = dataset[2].database_frames[4]
-        res = retrieval_only_localize(db, frame, cfg)
+        res = localize(db, frame, cfg, retrieval_only=True)
         assert res.estimated_pose == frame.pose
 
     def test_error_equals_retrieved_frame_error(self, dataset, db):
         cfg = PipelineConfig()
         q = dataset[0].query_frames[1]
-        res = retrieval_only_localize(db, q, cfg)
+        res = localize(db, q, cfg, retrieval_only=True)
         retrieved_pose = db.frame_by_id(res.top1_frame_id).pose
         assert translation_error(res.estimated_pose, q.pose) == translation_error(
             retrieved_pose, q.pose
         )
+
+    def test_same_top1_as_full_localize(self, dataset, db):
+        cfg = PipelineConfig(record_timings=False)
+        for g in dataset:
+            for q in g.query_frames:
+                full = localize(db, q, cfg)
+                res = localize(db, q, cfg, retrieval_only=True)
+                assert res.top1_frame_id == full.top1_frame_id
+                assert res.fallback and res.match_count == 0 and res.inlier_count == 0
+                assert res.estimated_pose == db.frame_by_id(res.top1_frame_id).pose
+
+    def test_timings_stop_after_retrieval(self, dataset, db):
+        res = localize(db, dataset[0].query_frames[0], PipelineConfig(), retrieval_only=True)
+        t = res.timings
+        assert t.feature_matching == 0.0 and t.pose_optimization == 0.0
+        assert 0.0 < t.feature_extraction + t.retrieval <= t.overall
 
 
 class TestResultsFile:
@@ -395,6 +415,29 @@ class TestResultsFile:
         (tmp_path / "bad.csv").write_text("1,2,3\n")
         with pytest.raises(ValueError):
             read_results(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, "x"), (1, "1.5"), (2, ""), (3, "x"), (3, "2"), (3, ""), (3, "true"),
+         (4, "abc"), (7, "nan"), (10, "inf"), (11, "-"), (13, "1e999")],
+    )
+    def test_bad_field_names_file_and_line(self, tmp_path, field, value):
+        lines = [result_to_csv_line(self.make_result(i)) for i in range(3)]
+        parts = lines[1].split(",")
+        parts[field] = value
+        lines[1] = ",".join(parts)
+        (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ResultsFormatError, match=r"r\.csv:2: "):
+            read_results(tmp_path / "r.csv")
+
+    def test_field_count_and_encoding_are_format_errors(self, tmp_path):
+        line = result_to_csv_line(self.make_result(0))
+        (tmp_path / "r.csv").write_text(line + "\n" + line + ",0\n")
+        with pytest.raises(ResultsFormatError, match=r"r\.csv:2: expected 14 fields"):
+            read_results(tmp_path / "r.csv")
+        (tmp_path / "r.csv").write_bytes(line.encode() + b"\xff\n")
+        with pytest.raises(ResultsFormatError, match=r"r\.csv"):
+            read_results(tmp_path / "r.csv")
 
 
 class TestDatabaseFile:

@@ -24,8 +24,6 @@ from pointloc.registration import (
     InsufficientPointsError,
     RegistrationError,
     RegistrationFailedError,
-    correspondences_from_text,
-    correspondences_to_text,
     gnc_tls_register,
     icp_refine,
     ransac_register,
@@ -465,17 +463,3 @@ def rendered_backprojection_cloud(rng, n):
     pts = np.stack([x, y, depths], axis=1)
     pick = rng.choice(len(pts), size=min(n, len(pts)), replace=False)
     return pts[pick]
-
-
-class TestCorrespondenceDump:
-    def test_round_trip(self, rng, tmp_path):
-        q = make_cloud(rng, 12)
-        d = make_cloud(rng, 12)
-        text = correspondences_to_text(q, d)
-        q2, d2 = correspondences_from_text(text)
-        assert np.array_equal(q, q2)
-        assert np.array_equal(d, d2)
-
-    def test_line_format(self):
-        text = correspondences_to_text(np.array([[1.0, 2.0, 3.0]]), np.array([[4.0, 5.0, 6.0]]))
-        assert text == "1 2 3 4 5 6\n"

@@ -11,7 +11,6 @@ from oracles import hamming, scan_ranked
 
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
-    EmbeddingFormatError,
     EmptyIndexError,
     GlobalEmbedding,
     InsufficientDataError,
@@ -21,10 +20,8 @@ from pointloc.retrieval import (
     VocabularyFormatError,
     assign_words,
     build_index,
-    dump_embeddings,
     embed_bow,
     embed_vlad,
-    load_embeddings,
     load_vocabulary,
     query_top1,
     query_topk,
@@ -398,24 +395,3 @@ class TestFiles:
         assert len(errors) == len(bad)
         for i, error in errors:
             assert isinstance(error, VocabularyFormatError), (i, error)
-
-    def test_embeddings_round_trip(self, rng, tmp_path):
-        embs = [unit_embedding(rng, dim=8) for _ in range(5)]
-        dump_embeddings(embs, tmp_path / "e.bin")
-        loaded = load_embeddings(tmp_path / "e.bin", VARIANT_BOW)
-        assert len(loaded) == 5
-        for a, b in zip(embs, loaded):
-            assert np.array_equal(a.values, b.values)
-
-    def test_embeddings_truncation_and_corruption_rejected(self, rng, tmp_path, assert_each_rejected):
-        dump_embeddings([unit_embedding(rng, dim=4) for _ in range(3)], tmp_path / "e.bin")
-        data = (tmp_path / "e.bin").read_bytes()
-        bad = [data[:cut] for cut in range(len(data))]  # every cut point
-        bad += [
-            data + b"\x00",  # trailing byte
-            (2).to_bytes(4, "big") + data[4:],  # one row fewer than stored
-            (2**32 - 1).to_bytes(4, "big") * 2 + data[8:],  # count x dim far past the end
-        ]
-        assert_each_rejected(
-            lambda path: load_embeddings(path, VARIANT_BOW), bad, EmbeddingFormatError
-        )
