@@ -37,13 +37,6 @@ class ExactReader:
         dtype = np.dtype(dtype)
         return np.frombuffer(self.read(count * dtype.itemsize, what), dtype=dtype)
 
-    def line(self, limit: int, what: str) -> bytes:
-        data = self.fh.readline(min(limit, self.left))
-        self.left -= len(data)
-        if not data.endswith(b"\n"):
-            raise self.fail(f"unterminated {what}")
-        return data
-
     def expect_end(self, what: str) -> None:
         if self.left:
             raise self.fail(f"{self.left} bytes after {what}")

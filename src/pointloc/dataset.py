@@ -347,6 +347,12 @@ def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool)
     rgb = read_ppm(stem.with_suffix(".rgb"))
     depth = read_pgm16(stem.with_suffix(".depth")).astype(np.float64) / DEPTH_LEVELS
     inst = read_pgm16(stem.with_suffix(".inst")).astype(np.uint16)
+    if not rgb.shape[:2] == depth.shape == inst.shape:
+        sizes = ", ".join(
+            f"{suffix} {a.shape[1]}x{a.shape[0]}"
+            for suffix, a in ((".rgb", rgb), (".depth", depth), (".inst", inst))
+        )
+        raise DatasetFormatError(f"frame {stem}: rasters disagree in size ({sizes})")
     return Frame(rgb, depth, inst, pose, point_id, frame_id, is_database)
 
 
@@ -390,17 +396,31 @@ def manifest_to_text(m: DatasetManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MANIFEST_KEYS = frozenset(
+    line.split("=", 1)[0].strip()
+    for line in manifest_to_text(
+        DatasetManifest(0, (), 0, 0, 0, 0, 0, GenerationParams())
+    ).splitlines()
+)
+
+
 def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest:
+    """Parse what manifest_to_text writes: blank lines aside, every line is
+    a known `key = value` (scene_<i> for the scene summaries), each once."""
     kv: dict[str, str] = {}
     scene_lines: list[tuple[int, str]] = []
-    for raw in text.splitlines():
-        if "=" not in raw:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
             continue
-        key, value = (part.strip() for part in raw.split("=", 1))
-        if key.startswith("scene_") and key[6:].isdigit():
+        key, eq, value = (part.strip() for part in raw.partition("="))
+        scene = key.startswith("scene_") and key[6:].isdecimal()
+        if not eq or not (scene or key in _MANIFEST_KEYS):
+            raise DatasetFormatError(f"{path}:{lineno}: not a known 'key = value' line: {raw!r}")
+        if key in kv:
+            raise DatasetFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        kv[key] = value
+        if scene:
             scene_lines.append((int(key[6:]), value))
-        else:
-            kv[key] = value
     try:
         scene_params = SceneParams(
             floor_width=float(kv["scene_floor_width"]),

@@ -23,6 +23,7 @@ import numpy as np
 from pointloc.binio import ExactReader
 from pointloc.dataset import PointGroup
 from pointloc.features import (
+    DESCRIPTOR_BITS,
     DESCRIPTOR_BYTES,
     describe,
     detect,
@@ -32,18 +33,18 @@ from pointloc.features import (
 from pointloc.geometry import (
     CameraIntrinsics,
     Pose,
+    UnitQuaternion,
     compose,
     pose_from_text,
-    pose_to_text,
 )
-from pointloc.render import DEPTH_MAX, Frame
+from pointloc.render import DEPTH_LEVELS, DEPTH_MAX, Frame
 from pointloc.retrieval import (
     GlobalEmbedding,
     RetrievalIndex,
     VARIANT_BOW,
     VARIANT_VLAD,
     Vocabulary,
-    build_index,
+    assign_words,
     embed_bow,
     embed_vlad,
     query_top1,
@@ -154,13 +155,16 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class DatabaseFrame:
+    """What localization reads of one database frame; its retrieval
+    embedding is row frame_id of the database's index."""
+
     frame_id: int
     point_id: int
     pose: Pose
     keypoint_xy: np.ndarray  # (n, 2) float64
     descriptors: np.ndarray  # (n, 32) uint8
-    depth: np.ndarray  # (h, w) float64, normalized
-    embedding: GlobalEmbedding
+    keypoint_depth: np.ndarray  # (n,) float64, normalized depth at each keypoint
+    words: np.ndarray  # (n,) int64, vocabulary word of each descriptor
 
 
 @dataclass(frozen=True)
@@ -175,10 +179,27 @@ class LocalizationDatabase:
         return self.frames[frame_id]
 
 
-def _embed(descriptors: np.ndarray, vocab: Vocabulary, variant: str) -> GlobalEmbedding:
-    if variant == VARIANT_BOW:
-        return embed_bow(descriptors, vocab)
-    return embed_vlad(descriptors, vocab)
+def _embed(
+    descriptors: np.ndarray,
+    vocab: Vocabulary,
+    variant: str,
+    words: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> GlobalEmbedding:
+    embed = embed_bow if variant == VARIANT_BOW else embed_vlad
+    return embed(descriptors, vocab, words, out)
+
+
+def _index(frames: Sequence[DatabaseFrame], vocab: Vocabulary, variant: str) -> RetrievalIndex:
+    """The retrieval index of database frames: row i embeds frame i's
+    descriptors and words with the query's embedding code.  Building and
+    loading a database both make the index here; each frame's embedding is
+    written straight into its row, so the rows exist only once."""
+    dim = vocab.k * (DESCRIPTOR_BITS if variant == VARIANT_VLAD else 1)
+    matrix = np.zeros((len(frames), dim))
+    for i, f in enumerate(frames):
+        _embed(f.descriptors, vocab, variant, f.words, out=matrix[i])
+    return RetrievalIndex(np.arange(len(frames), dtype=np.int64), matrix, variant)
 
 
 def extract_frame_features(
@@ -197,8 +218,9 @@ def build_database(
     config: PipelineConfig,
     intrinsics: CameraIntrinsics,
 ) -> LocalizationDatabase:
-    """Precompute features, embeddings and the retrieval index over every
-    database frame (6 per point); frame ids are assigned in (point, yaw) order."""
+    """Precompute features, words, keypoint depths and the retrieval index
+    over every database frame (6 per point); frame ids are assigned in
+    (point, yaw) order."""
     frames: list[DatabaseFrame] = []
     for group in sorted(dataset, key=lambda g: g.point_id):
         for f in group.database_frames:
@@ -210,13 +232,13 @@ def build_database(
                     pose=f.pose,
                     keypoint_xy=xy,
                     descriptors=desc,
-                    depth=f.depth,
-                    embedding=_embed(desc, vocab, config.retrieval),
+                    keypoint_depth=keypoint_depths(f.depth, xy),
+                    words=assign_words(desc, vocab.centroids),
                 )
             )
     if not frames:
         raise ValueError("dataset holds no database frames")
-    index = build_index([f.frame_id for f in frames], [f.embedding for f in frames])
+    index = _index(frames, vocab, config.retrieval)
     return LocalizationDatabase(tuple(frames), vocab, index, intrinsics, config.retrieval)
 
 
@@ -313,17 +335,21 @@ def _register(
     return res.pose, len(res.inlier_indices)
 
 
+def keypoint_depths(depth: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The normalized depth raster at each keypoint's rounded pixel."""
+    return depth[np.rint(xy[:, 1]).astype(np.int64), np.rint(xy[:, 0]).astype(np.int64)]
+
+
 def backproject_keypoints(
-    xy: np.ndarray, depth: np.ndarray, k: CameraIntrinsics
+    xy: np.ndarray, dn: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Camera-frame 3D points of one frame's keypoints, and which are valid.
 
-    Each keypoint reads the normalized depth at its rounded pixel; it is
-    valid when 0 < depth < INVALID_DEPTH_MAX.  Returns (points, valid):
-    points is (n, 3), meaningful only in the rows where valid is True.
+    dn is the normalized depth of each keypoint (keypoint_depths); a
+    keypoint is valid when 0 < depth < INVALID_DEPTH_MAX.  Returns
+    (points, valid): points is (n, 3), meaningful only where valid is True.
     """
     u, v = xy[:, 0], xy[:, 1]
-    dn = depth[np.rint(v).astype(np.int64), np.rint(u).astype(np.int64)]
     valid = (0.0 < dn) & (dn < INVALID_DEPTH_MAX)
     z = dn * DEPTH_MAX
     return np.stack([z * (u - k.cx) / k.fx, z * (v - k.cy) / k.fy, z], axis=1), valid
@@ -358,9 +384,11 @@ def localize(
         match_count = len(matches)
         clock.lap("feature_matching")
 
-        q_points, q_valid = backproject_keypoints(query_xy, query.depth, db.intrinsics)
+        q_points, q_valid = backproject_keypoints(
+            query_xy, keypoint_depths(query.depth, query_xy), db.intrinsics
+        )
         d_points, d_valid = backproject_keypoints(
-            db_frame.keypoint_xy, db_frame.depth, db.intrinsics
+            db_frame.keypoint_xy, db_frame.keypoint_depth, db.intrinsics
         )
         qi = np.array([m.query_index for m in matches], dtype=np.int64)
         di = np.array([m.db_index for m in matches], dtype=np.int64)
@@ -480,103 +508,129 @@ def read_results(path: str | Path) -> list[ResultRow]:
 
 
 # --- database file -----------------------------------------------------------------
+#
+# Version 2, big-endian: "PLDB", u32 version, u8 variant (0 bow, 1 vlad),
+# intrinsics (f64 fx fy cx cy, u32 width height), u32 vocabulary size k,
+# i64 vocabulary seed, k x 32 u8 centroids, k f64 idf weights, u32 frame
+# count, then one record per frame, frame i being the i-th record:
+#
+#   u32 record length (the bytes after this field: 64 + 54 n)
+#   u32 point id, f64 x 7 pose (tx ty tz qw qx qy qz), u32 keypoint count n
+#   n x 2 f64 keypoint xy, n x 32 u8 descriptors,
+#   n u16 depth at each keypoint (normalized depth * 65535),
+#   n u32 vocabulary word of each descriptor
+#
+# The embeddings are not stored: load_database rebuilds the index rows from
+# the descriptors and words, bit for bit.
 
 _DB_MAGIC = b"PLDB"
-_DB_VERSION = 1
+_DB_VERSION = 2
+_FRAME_HEAD = struct.Struct(">I7dI")  # point id, pose, keypoint count
+_KEYPOINT_BYTES = 2 * 8 + DESCRIPTOR_BYTES + 2 + 4  # xy, descriptor, depth, word
 
 
 def save_database(db: LocalizationDatabase, path: str | Path) -> None:
-    """Flat deterministic binary dump of a LocalizationDatabase."""
+    """Deterministic binary dump of a LocalizationDatabase (layout above)."""
     k = db.intrinsics
     with open(path, "wb") as fh:
         fh.write(_DB_MAGIC)
-        fh.write(struct.pack(">I", _DB_VERSION))
         variant_code = 0 if db.variant == VARIANT_BOW else 1
-        fh.write(struct.pack(">B", variant_code))
+        fh.write(struct.pack(">IB", _DB_VERSION, variant_code))
         fh.write(struct.pack(">ddddII", k.fx, k.fy, k.cx, k.cy, k.width, k.height))
-        fh.write(struct.pack(">I", db.vocabulary.k))
-        fh.write(struct.pack(">q", db.vocabulary.training_seed))
+        fh.write(struct.pack(">Iq", db.vocabulary.k, db.vocabulary.training_seed))
         fh.write(np.ascontiguousarray(db.vocabulary.centroids, dtype=np.uint8).tobytes())
         fh.write(np.ascontiguousarray(db.vocabulary.idf, dtype=">f8").tobytes())
         fh.write(struct.pack(">I", len(db.frames)))
-        dim = db.index.matrix.shape[1]
-        fh.write(struct.pack(">I", dim))
         for f in db.frames:
-            fh.write(struct.pack(">II", f.frame_id, f.point_id))
-            fh.write((pose_to_text(f.pose) + "\n").encode("ascii"))
-            fh.write(struct.pack(">I", len(f.keypoint_xy)))
+            n, p = len(f.keypoint_xy), f.pose
+            q = p.rotation
+            fh.write(struct.pack(">I", _FRAME_HEAD.size + n * _KEYPOINT_BYTES))
+            fh.write(_FRAME_HEAD.pack(f.point_id, *p.translation, q.w, q.x, q.y, q.z, n))
             fh.write(np.ascontiguousarray(f.keypoint_xy, dtype=">f8").tobytes())
             fh.write(np.ascontiguousarray(f.descriptors, dtype=np.uint8).tobytes())
-            fh.write(np.ascontiguousarray(f.embedding.values, dtype=">f8").tobytes())
-            h, w = f.depth.shape
-            fh.write(struct.pack(">II", h, w))
-            depth_u16 = np.round(np.asarray(f.depth) * 65535.0).astype(">u2")
-            fh.write(depth_u16.tobytes())
+            fh.write(np.round(f.keypoint_depth * DEPTH_LEVELS).astype(">u2").tobytes())
+            fh.write(np.asarray(f.words).astype(">u4").tobytes())
 
 
 class DatabaseFormatError(ValueError):
     """A database file that is truncated, corrupt or of another format."""
 
 
-_POSE_LINE_LIMIT = 512  # a pose is 7 numbers in at most 25 characters each
+def _read_record(
+    r: ExactReader, frame_id: int, vocab_k: int, k: CameraIntrinsics
+) -> DatabaseFrame:
+    where = f"frame {frame_id}"
+    (length,) = r.unpack(">I", f"{where} record length")
+    record = r.read(length, f"{where} record")
+    if length < _FRAME_HEAD.size:
+        raise r.fail(f"{where} record of {length} bytes is shorter than its header")
+    point_id, *pose_values, n = _FRAME_HEAD.unpack_from(record)
+    if length != _FRAME_HEAD.size + n * _KEYPOINT_BYTES:
+        raise r.fail(f"{where} record of {length} bytes does not hold {n} keypoints")
+    if not all(math.isfinite(v) for v in pose_values):
+        raise r.fail(f"{where} pose is not finite")
+    try:
+        pose = Pose(UnitQuaternion(*pose_values[3:]), np.array(pose_values[:3]))
+    except ValueError as e:
+        raise r.fail(f"bad {where} pose: {e}") from e
+
+    def field(dtype, count: int, offset: int) -> np.ndarray:
+        return np.frombuffer(record, dtype, count, offset)
+
+    at = _FRAME_HEAD.size
+    xy = field(">f8", 2 * n, at).astype(np.float64).reshape(n, 2)
+    at += 16 * n
+    desc = field(np.uint8, DESCRIPTOR_BYTES * n, at).reshape(n, DESCRIPTOR_BYTES).copy()
+    at += DESCRIPTOR_BYTES * n
+    depth = field(">u2", n, at).astype(np.float64) / DEPTH_LEVELS
+    words = field(">u4", n, at + 2 * n).astype(np.int64)
+    pixels = np.rint(xy)  # the pixels lifting read the depth at; NaN fails below
+    inside = (0 <= pixels) & (pixels <= np.array([k.width - 1, k.height - 1]))
+    if not np.all(inside):
+        raise r.fail(f"{where} has a keypoint outside the {k.width}x{k.height} raster")
+    if np.any(words >= vocab_k):
+        raise r.fail(f"{where} has a word id outside the {vocab_k}-word vocabulary")
+    return DatabaseFrame(frame_id, point_id, pose, xy, desc, depth, words)
 
 
 def load_database(path: str | Path) -> LocalizationDatabase:
-    from pointloc.render import DEPTH_LEVELS
-
+    """Read a database file and rebuild its retrieval index."""
     with open(path, "rb") as fh:
         r = ExactReader(fh, path, DatabaseFormatError)
         if r.read(4, "magic") != _DB_MAGIC:
             raise r.fail("not a localization database file")
         (version,) = r.unpack(">I", "version")
         if version != _DB_VERSION:
-            raise r.fail(f"unsupported database version {version}")
+            raise r.fail(
+                f"unsupported database version {version} (this pointloc reads version "
+                f"{_DB_VERSION}; rebuild the database with pointloc build-db)"
+            )
         (variant_code,) = r.unpack(">B", "variant")
         if variant_code not in (0, 1):
             raise r.fail(f"unknown retrieval variant code {variant_code}")
         variant = VARIANT_BOW if variant_code == 0 else VARIANT_VLAD
         fx, fy, cx, cy, width, height = r.unpack(">ddddII", "intrinsics")
         try:
+            if not all(math.isfinite(v) for v in (fx, fy, cx, cy)):
+                raise ValueError("non-finite value")
             intrinsics = CameraIntrinsics(fx, fy, cx, cy, width, height)
         except ValueError as e:
             raise r.fail(f"bad intrinsics: {e}") from e
-        (vocab_k,) = r.unpack(">I", "vocabulary size")
-        (seed,) = r.unpack(">q", "vocabulary seed")
+        vocab_k, seed = r.unpack(">Iq", "vocabulary size and seed")
+        if vocab_k == 0:
+            raise r.fail("vocabulary has no words")
         centroids = r.array(vocab_k * DESCRIPTOR_BYTES, np.uint8, "vocabulary centroids")
         centroids = centroids.reshape(vocab_k, DESCRIPTOR_BYTES).copy()
         idf = r.array(vocab_k, ">f8", "vocabulary idf").astype(np.float64)
+        if not np.all(np.isfinite(idf)):
+            raise r.fail("vocabulary idf weights are not finite")
         vocab = Vocabulary(vocab_k, centroids, idf, seed)
-        n_frames, dim = r.unpack(">II", "frame count")
-        frames = []
-        for i in range(n_frames):
-            where = f"frame {i}"
-            frame_id, point_id = r.unpack(">II", f"{where} ids")
-            try:
-                pose = pose_from_text(r.line(_POSE_LINE_LIMIT, f"{where} pose").decode("ascii"))
-            except ValueError as e:  # also UnicodeDecodeError
-                raise r.fail(f"bad {where} pose: {e}") from e
-            (n_kp,) = r.unpack(">I", f"{where} keypoint count")
-            xy = r.array(n_kp * 2, ">f8", f"{where} keypoints").astype(np.float64)
-            xy = xy.reshape(n_kp, 2)
-            desc = r.array(n_kp * DESCRIPTOR_BYTES, np.uint8, f"{where} descriptors")
-            desc = desc.reshape(n_kp, DESCRIPTOR_BYTES).copy()
-            emb = r.array(dim, ">f8", f"{where} embedding").astype(np.float64)
-            h, w = r.unpack(">II", f"{where} depth size")
-            depth = r.array(h * w, ">u2", f"{where} depth").astype(np.float64)
-            depth = depth.reshape(h, w) / DEPTH_LEVELS
-            frames.append(
-                DatabaseFrame(
-                    frame_id=frame_id,
-                    point_id=point_id,
-                    pose=pose,
-                    keypoint_xy=xy,
-                    descriptors=desc,
-                    depth=depth,
-                    embedding=GlobalEmbedding(emb, variant),
-                )
-            )
+        (n_frames,) = r.unpack(">I", "frame count")
+        if n_frames == 0:
+            raise r.fail("database holds no frames")
+        frames = [_read_record(r, i, vocab_k, intrinsics) for i in range(n_frames)]
         r.expect_end("the last frame")
-    index = build_index([f.frame_id for f in frames], [f.embedding for f in frames])
+    index = _index(frames, vocab, variant)
     return LocalizationDatabase(tuple(frames), vocab, index, intrinsics, variant)
 
 

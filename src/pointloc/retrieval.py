@@ -185,44 +185,75 @@ def _majority_update(
     return out
 
 
-def _descriptor_signs(descriptors: np.ndarray) -> np.ndarray:
-    """Descriptor bits as +/-1 float rows."""
-    bits = np.unpackbits(np.asarray(descriptors, dtype=np.uint8), axis=1)
-    return bits.astype(np.float64) * 2.0 - 1.0
+def embed_bow(
+    descriptors: np.ndarray,
+    vocab: Vocabulary,
+    words: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> GlobalEmbedding:
+    """TF-IDF bag-of-words histogram, L2-normalized; empty input -> zeros.
 
-
-def embed_bow(descriptors: np.ndarray, vocab: Vocabulary) -> GlobalEmbedding:
-    """TF-IDF bag-of-words histogram, L2-normalized; empty input -> zeros."""
-    values = np.zeros(vocab.k)
+    `words` are the descriptors' vocabulary words when already assigned;
+    `out`, a zero-filled float64 row of length k, receives the values.
+    """
+    values = np.zeros(vocab.k) if out is None else out
     if len(descriptors):
-        words = assign_words(np.asarray(descriptors, dtype=np.uint8), vocab.centroids)
-        counts = np.bincount(words, minlength=vocab.k).astype(np.float64)
-        values = counts * vocab.idf
+        if words is None:
+            words = assign_words(np.asarray(descriptors, dtype=np.uint8), vocab.centroids)
+        values[:] = np.bincount(words, minlength=vocab.k) * vocab.idf
         norm = np.linalg.norm(values)
-        values = values / norm if norm > 0 else np.zeros(vocab.k)
+        if norm > 0:
+            values /= norm
+        else:
+            values[:] = 0.0  # +0.0: a zero count times a negative idf is -0.0
     return GlobalEmbedding(values, VARIANT_BOW)
 
 
-def embed_vlad(descriptors: np.ndarray, vocab: Vocabulary) -> GlobalEmbedding:
+def embed_vlad(
+    descriptors: np.ndarray,
+    vocab: Vocabulary,
+    words: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> GlobalEmbedding:
     """Per-word residual aggregation over +/-1 descriptor vectors with
-    intra-normalization, then global L2 normalization; empty input -> zeros."""
-    dim = vocab.k * DESCRIPTOR_BITS
-    if len(descriptors) == 0:
-        return GlobalEmbedding(np.zeros(dim), VARIANT_VLAD)
-    descriptors = np.asarray(descriptors, dtype=np.uint8)
-    words = assign_words(descriptors, vocab.centroids)
-    signs = _descriptor_signs(descriptors)
-    centroid_signs = _descriptor_signs(vocab.centroids)
-    blocks = np.zeros((vocab.k, DESCRIPTOR_BITS))
-    for w in np.unique(words):
-        members = words == w
-        blocks[w] = (signs[members] - centroid_signs[w]).sum(axis=0)
-    norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        blocks = np.where(norms > 0, blocks / norms, 0.0)
-    flat = blocks.ravel()
-    norm = np.linalg.norm(flat)
-    return GlobalEmbedding(flat / norm if norm > 0 else np.zeros(dim), VARIANT_VLAD)
+    intra-normalization, then global L2 normalization; empty input -> zeros.
+
+    `words` are the descriptors' vocabulary words when already assigned;
+    `out`, a zero-filled float64 row of length k * 256, receives the values.
+
+    A word's block is the sum of its members' +/-1 residuals s(d) - s(c),
+    s = 2 b - 1 for the 0/1 bits b: twice the sum of their bit residuals
+    b(d) - b(c).  One product, onehot @ bit residuals, sums them for all
+    words at once.  Below 2**22 descriptors per frame every block entry is
+    an integer below 2**24 and every sum of squares one below 2**53, so the
+    float32 product is exact and each block norm is the square root of an
+    exact integer: the values are bit for bit those of summing each word's
+    members on its own.  The factor 2 is left out, which changes no bit of
+    the normalized block: scaling by a power of two commutes with rounding.
+    """
+    k = vocab.k
+    values = np.zeros(k * DESCRIPTOR_BITS) if out is None else out
+    if len(descriptors):
+        descriptors = np.asarray(descriptors, dtype=np.uint8)
+        if words is None:
+            words = assign_words(descriptors, vocab.centroids)
+        present = np.bincount(words, minlength=k) > 0
+        used = np.flatnonzero(present)
+        onehot = np.zeros((len(used), len(words)), dtype=np.float32)
+        onehot[np.cumsum(present)[words] - 1, np.arange(len(words))] = 1.0
+        residuals = np.unpackbits(descriptors, axis=1).astype(np.float32)
+        residuals -= np.unpackbits(vocab.centroids, axis=1)[words]
+        sums = (onehot @ residuals).astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, None]
+        norms[norms == 0] = 1.0  # a zero block stays 0
+        sums /= norms
+        values.reshape(k, DESCRIPTOR_BITS)[used] = sums  # words without members stay 0
+        # The global norm is taken over the whole row: a sum over the used
+        # blocks alone could group, and so round, differently.
+        norm = np.linalg.norm(values)
+        if norm > 0:
+            values /= norm
+    return GlobalEmbedding(values, VARIANT_VLAD)
 
 
 def build_index(frame_ids: Sequence[int], embeddings: Sequence[GlobalEmbedding]) -> RetrievalIndex:

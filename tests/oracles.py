@@ -349,3 +349,33 @@ def lift_cloud_scalar(xy, depth, k):
         if 0.0 < dn < INVALID_DEPTH_MAX:
             pts.append(backproject((x, y), dn * DEPTH_MAX, k))
     return np.asarray(pts).reshape(-1, 3)
+
+
+def embed_vlad_per_word(descriptors, vocab):
+    """The per-word VLAD aggregation loop: retrieval.embed_vlad as it was
+    before the one-hot product, kept verbatim as its oracle."""
+    from pointloc.features import DESCRIPTOR_BITS
+    from pointloc.retrieval import VARIANT_VLAD, GlobalEmbedding, assign_words
+
+    def _descriptor_signs(descriptors: np.ndarray) -> np.ndarray:
+        """Descriptor bits as +/-1 float rows."""
+        bits = np.unpackbits(np.asarray(descriptors, dtype=np.uint8), axis=1)
+        return bits.astype(np.float64) * 2.0 - 1.0
+
+    dim = vocab.k * DESCRIPTOR_BITS
+    if len(descriptors) == 0:
+        return GlobalEmbedding(np.zeros(dim), VARIANT_VLAD)
+    descriptors = np.asarray(descriptors, dtype=np.uint8)
+    words = assign_words(descriptors, vocab.centroids)
+    signs = _descriptor_signs(descriptors)
+    centroid_signs = _descriptor_signs(vocab.centroids)
+    blocks = np.zeros((vocab.k, DESCRIPTOR_BITS))
+    for w in np.unique(words):
+        members = words == w
+        blocks[w] = (signs[members] - centroid_signs[w]).sum(axis=0)
+    norms = np.linalg.norm(blocks, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        blocks = np.where(norms > 0, blocks / norms, 0.0)
+    flat = blocks.ravel()
+    norm = np.linalg.norm(flat)
+    return GlobalEmbedding(flat / norm if norm > 0 else np.zeros(dim), VARIANT_VLAD)

@@ -235,7 +235,8 @@ class TestCriterion3RetrievalCorrectness:
     def test_self_retrieval_generated_scene(self, pipeline_state):
         db = pipeline_state["db"]
         for frame in db.frames:
-            fid, dist = query_top1(db.index, frame.embedding)
+            embedding = GlobalEmbedding(db.index.matrix[frame.frame_id], db.variant)
+            fid, dist = query_top1(db.index, embedding)
             assert fid == frame.frame_id
             assert dist < 1e-9
         announce(

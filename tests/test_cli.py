@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import shutil
 
+import numpy as np
 import pytest
 
 from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, main
+from pointloc.dataset import write_pgm16
 from pointloc.evaluation import parse_recall_csv
 
 CONFIG_TEXT = """\
@@ -166,6 +168,19 @@ class TestCorruptDatabase:
         assert rc == EXIT_DATA
         assert "truncated" in capsys.readouterr().err
 
+    def test_version_1_database_is_data_error(self, workspace, tmp_path, capsys):
+        """A version 1 file starts with the same magic and a version field of 1."""
+        data = workspace["db"].read_bytes()
+        old = tmp_path / "v1.bin"
+        old.write_bytes(data[:4] + (1).to_bytes(4, "big") + data[8:])
+        rc = main(
+            ["localize", "--db", str(old), "--dataset", str(workspace["dataset"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert rc == EXIT_DATA
+        assert "unsupported database version 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestCorruptDataset:
     @staticmethod
@@ -206,6 +221,15 @@ class TestCorruptDataset:
         victim.write_bytes(victim.read_bytes()[:100])
         assert self.localize(workspace, ds, tmp_path) == EXIT_DATA
         assert str(victim) in capsys.readouterr().err
+
+    def test_raster_of_another_size_is_data_error(self, workspace, tmp_path, capsys):
+        ds, q_dir = self.copy(workspace, tmp_path)
+        victim = sorted(q_dir.glob("q_*.depth"))[0]
+        write_pgm16(victim, np.zeros((8, 8), dtype=np.uint16))
+        assert self.localize(workspace, ds, tmp_path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"frame {victim.with_suffix('')}: rasters disagree in size" in err
+        assert ".depth 8x8" in err
 
     @pytest.mark.parametrize("field, value", [(3, "x"), (3, "2"), (4, "abc"), (13, "nan")])
     def test_corrupt_results_is_data_error(self, workspace, tmp_path, capsys, field, value):

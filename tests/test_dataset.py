@@ -274,6 +274,17 @@ class TestDatasetIO:
             with pytest.raises(DatasetFormatError, match=f"corrupt pose file {victim}"):
                 query_poses(tmp_path / "ds")
 
+    @pytest.mark.parametrize("suffix", [".rgb", ".depth", ".inst"])
+    def test_rasters_of_other_sizes_name_frame(self, tmp_path, suffix):
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
+        victim = next((tmp_path / "ds" / "points").rglob("db_0.rgb")).with_suffix(suffix)
+        if suffix == ".rgb":
+            write_ppm(victim, np.zeros((8, 8, 3), dtype=np.uint8))
+        else:
+            write_pgm16(victim, np.zeros((8, 8), dtype=np.uint16))
+        with pytest.raises(DatasetFormatError, match=f"frame {victim.with_suffix('')}: rasters"):
+            list(iter_point_groups(tmp_path / "ds"))
+
 
 class TestManifest:
     def test_text_round_trip(self):
@@ -293,6 +304,32 @@ class TestManifest:
     def test_corrupt_manifest_names_file(self):
         with pytest.raises(DatasetFormatError, match="manifest.txt"):
             manifest_from_text("format = pointloc-dataset-v1\n")
+
+    def test_written_manifests_load(self, tmp_path):
+        for scenes in (1, 2):
+            params = replace(TINY, scenes=scenes, queries_per_point=1)
+            manifest = generate_dataset_to_dir(5, params, tmp_path / f"ds{scenes}")
+            assert load_dataset(tmp_path / f"ds{scenes}")[1] == manifest
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("no equals sign", "not a known 'key = value' line"),
+            ("colour = blue", "not a known 'key = value' line"),
+            (" = 3", "not a known 'key = value' line"),
+            ("scene_x = a 1 2 3", "not a known 'key = value' line"),
+            ("seed = 4", "duplicate key 'seed'"),
+            ("scene_0 = scene_0 1 2 3", "duplicate key 'scene_0'"),
+        ],
+    )
+    def test_unknown_lines_rejected_with_line_number(self, line, message):
+        text = manifest_to_text(
+            DatasetManifest(9, (SceneSummary("scene_0", 1, 2, 3),), 2, 3, 1, 1, 1, GenerationParams())
+        )
+        lineno = len(text.splitlines()) + 2
+        with pytest.raises(DatasetFormatError, match=f"m.txt:{lineno}: {message}"):
+            manifest_from_text(text + "\n" + line + "\n", "m.txt")
+        assert manifest_from_text("\n" + text + "\n  \n", "m.txt").seed == 9  # blanks pass
 
 
 class TestDatasetStats:

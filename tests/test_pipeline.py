@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +11,21 @@ from hypothesis import strategies as st
 
 from oracles import lift_cloud_scalar, lift_matches_scalar
 
+from pointloc import pipeline
 from pointloc.dataset import GenerationParams, generate_scene_dataset
 from pointloc.features import Match
 from pointloc.geometry import CameraIntrinsics, Pose, compose, inverse, rotation_error, translation_error
 from pointloc.pipeline import (
     INVALID_DEPTH_MAX,
     DatabaseFormatError,
+    DatabaseFrame,
     LocalizationResult,
     PipelineConfig,
     StageTimings,
     backproject_keypoints,
     ResultsFormatError,
     build_database,
+    keypoint_depths,
     load_database,
     localize,
     parse_config,
@@ -316,8 +321,8 @@ class TestKeypointLifting:
         matches = [
             Match(int(rng.integers(n_query)), int(rng.integers(n_db)), 0) for _ in range(n_matches)
         ]
-        q_points, q_valid = backproject_keypoints(q_xy, q_depth, self.K)
-        d_points, d_valid = backproject_keypoints(d_xy, d_depth, self.K)
+        q_points, q_valid = backproject_keypoints(q_xy, keypoint_depths(q_depth, q_xy), self.K)
+        d_points, d_valid = backproject_keypoints(d_xy, keypoint_depths(d_depth, d_xy), self.K)
         assert np.array_equal(q_points[q_valid], lift_cloud_scalar(q_xy, q_depth, self.K))
         assert np.array_equal(d_points[d_valid], lift_cloud_scalar(d_xy, d_depth, self.K))
 
@@ -333,10 +338,11 @@ class TestKeypointLifting:
         depth = np.array([[0.0, 1e-12, np.nextafter(INVALID_DEPTH_MAX, 0), INVALID_DEPTH_MAX, 1.0]])
         xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.4, 0.4], [2.6, -0.4], [4.0, 0.0]])
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=0.0, width=5, height=1)
-        points, valid = backproject_keypoints(xy, depth, k)
+        points, valid = backproject_keypoints(xy, keypoint_depths(depth, xy), k)
         assert valid.tolist() == [False, True, True, False, False]
         assert points.shape == (5, 3)
-        points, valid = backproject_keypoints(np.zeros((0, 2)), depth, k)
+        none = np.zeros((0, 2))
+        points, valid = backproject_keypoints(none, keypoint_depths(depth, none), k)
         assert points.shape == (0, 3) and valid.shape == (0,)
 
 
@@ -440,26 +446,61 @@ class TestResultsFile:
             read_results(tmp_path / "r.csv")
 
 
+def record_offsets(data: bytes, vocab_k: int) -> tuple[int, int]:
+    """(offset, keypoint count) of frame 0's record in a database file: the
+    fixed header, the vocabulary, then the u32 frame count."""
+    at = 65 + 40 * vocab_k
+    return at, int.from_bytes(data[at + 64 : at + 68], "big")
+
+
 class TestDatabaseFile:
     def test_round_trip(self, db, tmp_path):
-        save_database(db, tmp_path / "db.bin")
-        loaded = load_database(tmp_path / "db.bin")
+        self.assert_round_trip(db, tmp_path / "db.bin")
+
+    def test_bow_round_trip(self, dataset, vocab, tmp_path):
+        bow = build_database(dataset, vocab, PipelineConfig(retrieval="bow"), PARAMS.intrinsics())
+        self.assert_round_trip(bow, tmp_path / "db.bin")
+
+    @staticmethod
+    def assert_round_trip(db, path):
+        save_database(db, path)
+        loaded = load_database(path)
         assert len(loaded.frames) == len(db.frames)
         assert loaded.variant == db.variant
         assert loaded.vocabulary == db.vocabulary
         assert loaded.intrinsics == db.intrinsics
-        assert np.allclose(loaded.index.matrix, db.index.matrix, atol=1e-15)
+        # the rebuilt rows are the built ones, bit for bit
+        assert loaded.index.matrix.tobytes() == db.index.matrix.tobytes()
+        assert np.array_equal(loaded.index.frame_ids, db.index.frame_ids)
         for a, b in zip(db.frames, loaded.frames):
             assert a.frame_id == b.frame_id and a.point_id == b.point_id
             assert a.pose == b.pose
             assert np.array_equal(a.keypoint_xy, b.keypoint_xy)
             assert np.array_equal(a.descriptors, b.descriptors)
-            assert np.array_equal(a.depth, b.depth)
+            assert a.keypoint_depth.tobytes() == b.keypoint_depth.tobytes()
+            assert np.array_equal(a.words, b.words)
+
+    def test_frame_ids_are_record_positions(self, db, tmp_path):
+        """Version 1 stored each frame's id and took it on trust: ids 1, 0,
+        4000 loaded, frame_by_id(0) then answered with frame 1 and a top-1 of
+        4000 raised IndexError at query time.  Version 2 stores no id."""
+        save_database(db, tmp_path / "db.bin")
+        loaded = load_database(tmp_path / "db.bin")
+        assert [f.frame_id for f in loaded.frames] == list(range(len(loaded.frames)))
+        assert loaded.index.frame_ids.tolist() == list(range(len(loaded.frames)))
+        for i in range(len(loaded.frames)):
+            assert loaded.frame_by_id(i).frame_id == i
 
     def test_byte_deterministic(self, db, tmp_path):
         save_database(db, tmp_path / "a.bin")
         save_database(db, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_stores_no_raster_and_no_embedding(self, db, tmp_path):
+        save_database(db, tmp_path / "db.bin")
+        keypoints = sum(len(f.keypoint_xy) for f in db.frames)
+        expected = 65 + 40 * db.vocabulary.k + len(db.frames) * 68 + 54 * keypoints
+        assert (tmp_path / "db.bin").stat().st_size == expected
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "x.bin").write_bytes(b"NOPE" + b"\x00" * 64)
@@ -487,10 +528,9 @@ class TestDatabaseFile:
     def test_truncation_is_format_error(self, db, tmp_path):
         save_database(db, tmp_path / "db.bin")
         data = (tmp_path / "db.bin").read_bytes()
-        pose_start = 69 + 40 * db.vocabulary.k + 8  # fixed header, then frame 0 ids
-        pose_end = data.index(b"\n", pose_start) + 1
-        cuts = [0, 2, 4, 8, 9, 30, 60, pose_start - 4, pose_start, pose_start + 20,
-                pose_end - 1, pose_end, pose_end + 2, pose_end + 4 + 100, len(data) - 1]
+        record, n = record_offsets(data, db.vocabulary.k)
+        cuts = [0, 2, 4, 8, 9, 30, 60, record - 4, record, record + 4, record + 40,
+                record + 68, record + 68 + 54 * n - 1, record + 68 + 54 * n, len(data) - 1]
         for cut in cuts:
             (tmp_path / "cut.bin").write_bytes(data[:cut])
             error = self.load_error(tmp_path / "cut.bin")
@@ -506,6 +546,76 @@ class TestDatabaseFile:
         (tmp_path / "long.bin").write_bytes(data + b"\x00")
         with pytest.raises(DatabaseFormatError, match="after the last frame"):
             load_database(tmp_path / "long.bin")
+
+    def test_version_1_rejected(self, db, tmp_path):
+        save_database(db, tmp_path / "db.bin")
+        data = (tmp_path / "db.bin").read_bytes()
+        (tmp_path / "v1.bin").write_bytes(data[:4] + (1).to_bytes(4, "big") + data[8:])
+        with pytest.raises(DatabaseFormatError, match="unsupported database version 1"):
+            load_database(tmp_path / "v1.bin")
+
+    @pytest.mark.parametrize("what", ["word", "keypoint", "nan keypoint", "length", "count"])
+    def test_inconsistent_record_rejected(self, db, tmp_path, what):
+        save_database(db, tmp_path / "db.bin")
+        data = bytearray((tmp_path / "db.bin").read_bytes())
+        k = db.vocabulary.k
+        at, n = record_offsets(data, k)
+        assert n > 0
+        xy, words = at + 68, at + 68 + 50 * n
+        if what == "word":
+            data[words : words + 4] = k.to_bytes(4, "big")
+            message = "word id outside"
+        elif what == "keypoint":  # u rounds to the raster width
+            data[xy : xy + 8] = struct.pack(">d", PARAMS.resolution - 0.5)
+            message = "keypoint outside"
+        elif what == "nan keypoint":
+            data[xy + 8 : xy + 16] = struct.pack(">d", float("nan"))
+            message = "keypoint outside"
+        elif what == "length":
+            length = int.from_bytes(data[at : at + 4], "big")
+            data[at : at + 4] = (length - 54).to_bytes(4, "big")
+            message = f"record of {length - 54} bytes does not hold {n} keypoints"
+        else:
+            data[at + 64 : at + 68] = (n - 1).to_bytes(4, "big")
+            message = f"does not hold {n - 1} keypoints"
+        (tmp_path / "bad.bin").write_bytes(bytes(data))
+        with pytest.raises(DatabaseFormatError, match=message):
+            load_database(tmp_path / "bad.bin")
+
+    @staticmethod
+    def small_database(db):
+        """Three frames of five keypoints each: a file small enough to cut
+        at every byte."""
+        frames = tuple(
+            DatabaseFrame(
+                i, f.point_id, f.pose, f.keypoint_xy[:5], f.descriptors[:5],
+                f.keypoint_depth[:5], f.words[:5],
+            )
+            for i, f in enumerate(db.frames[:3])
+        )
+        vocab = db.vocabulary
+        return replace(db, frames=frames, index=pipeline._index(frames, vocab, db.variant))
+
+    def test_every_cut_is_format_error(self, db, tmp_path, assert_each_rejected):
+        save_database(self.small_database(db), tmp_path / "small.bin")
+        data = (tmp_path / "small.bin").read_bytes()
+        assert_each_rejected(
+            load_database, [data[:cut] for cut in range(len(data))], DatabaseFormatError
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(flips=st.lists(st.integers(0, 2**40), min_size=1, max_size=4))
+    def test_bit_flips_load_or_raise(self, db, tmp_path_factory, flips):
+        """Every bit-flipped file either loads or raises DatabaseFormatError,
+        within the time bound."""
+        path = tmp_path_factory.mktemp("flip") / "db.bin"
+        save_database(self.small_database(db), path)
+        data = bytearray(path.read_bytes())
+        for flip in flips:
+            data[flip // 8 % len(data)] ^= 1 << (flip % 8)
+        path.write_bytes(bytes(data))
+        error = self.load_error(path)
+        assert error is None or isinstance(error, DatabaseFormatError), error
 
     def test_localize_from_loaded_database(self, dataset, db, tmp_path):
         save_database(db, tmp_path / "db.bin")

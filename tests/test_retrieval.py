@@ -4,10 +4,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import hamming, scan_ranked
+from oracles import embed_vlad_per_word, hamming, scan_ranked
 
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
@@ -172,6 +172,67 @@ class TestEmbedVlad:
         flat = blocks.ravel()
         flat /= np.linalg.norm(flat)
         assert np.allclose(e.values, flat, atol=1e-12)
+
+
+def float_bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestEmbedVladOneHot:
+    """The one-hot embed_vlad against the per-word loop it replaced, bit
+    for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 256),
+        n=st.integers(0, 300),
+        centroid_copies=st.integers(0, 4),
+        duplicates=st.integers(0, 4),
+        words_given=st.booleans(),
+    )
+    @example(seed=0, k=1, n=0, centroid_copies=0, duplicates=0, words_given=False)  # empty
+    @example(seed=1, k=1, n=40, centroid_copies=0, duplicates=3, words_given=True)
+    @example(seed=2, k=256, n=300, centroid_copies=4, duplicates=4, words_given=False)
+    @example(seed=3, k=8, n=0, centroid_copies=3, duplicates=0, words_given=True)  # all zero
+    def test_bit_identical_to_per_word_loop(
+        self, seed, k, n, centroid_copies, duplicates, words_given
+    ):
+        rng = np.random.default_rng(seed)
+        centroids = random_descriptors(rng, k)
+        vocab = Vocabulary(k, centroids, np.zeros(k), 0)
+        descs = random_descriptors(rng, n)
+        parts = [descs, centroids[rng.integers(0, k, centroid_copies)]]  # zero residuals
+        if n:
+            parts.append(descs[rng.integers(0, n, duplicates)])
+        descs = np.concatenate(parts)
+        descs = descs[rng.permutation(len(descs))]
+        want = embed_vlad_per_word(descs, vocab).values
+        words = assign_words(descs, centroids) if words_given else None
+        got = embed_vlad(descs, vocab, words).values
+        assert np.array_equal(float_bits(got), float_bits(want))
+
+    def test_centroid_members_leave_zero_block(self, rng):
+        centroids = random_descriptors(rng, 4)
+        vocab = Vocabulary(4, centroids, np.zeros(4), 0)
+        near_0 = centroids[0].copy()
+        near_0[0] ^= 1
+        descs = np.stack([centroids[2], near_0, centroids[2]])
+        assert assign_words(descs, centroids).tolist() == [2, 0, 2]
+        got = embed_vlad(descs, vocab).values
+        assert np.array_equal(float_bits(got), float_bits(embed_vlad_per_word(descs, vocab).values))
+        blocks = got.reshape(4, DESCRIPTOR_BITS)
+        assert not np.any(blocks[2]) and np.any(blocks[0])
+
+    @pytest.mark.parametrize("embed", [embed_bow, embed_vlad])
+    def test_words_and_out_change_no_bit(self, rng, embed):
+        vocab = train_vocabulary([random_descriptors(rng, 60) for _ in range(4)], k=8, seed=1)
+        descs = random_descriptors(rng, 50)
+        plain = embed(descs, vocab).values
+        row = np.zeros(len(plain))
+        given_words = embed(descs, vocab, assign_words(descs, vocab.centroids), out=row)
+        assert np.shares_memory(given_words.values, row)
+        assert np.array_equal(float_bits(given_words.values), float_bits(plain))
 
 
 class TestQueries:
