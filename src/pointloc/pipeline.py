@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from pointloc.binio import ExactReader
-from pointloc.dataset import PointGroup
+from pointloc.dataset import DatasetFormatError, PointGroup
 from pointloc.features import (
     DESCRIPTOR_BITS,
     DESCRIPTOR_BYTES,
@@ -39,15 +39,14 @@ from pointloc.geometry import (
 )
 from pointloc.render import DEPTH_LEVELS, DEPTH_MAX, Frame
 from pointloc.retrieval import (
-    GlobalEmbedding,
     RetrievalIndex,
-    VARIANT_BOW,
-    VARIANT_VLAD,
     Vocabulary,
     assign_words,
     embed_bow,
     embed_vlad,
     query_top1,
+    read_vocabulary_body,
+    write_vocabulary_body,
 )
 from pointloc.registration import (
     RegistrationError,
@@ -57,7 +56,9 @@ from pointloc.registration import (
     umeyama,
 )
 
-RETRIEVAL_VARIANTS = (VARIANT_BOW, VARIANT_VLAD)
+VARIANT_BOW = "bow"
+VARIANT_VLAD = "vlad"
+RETRIEVAL_VARIANTS = (VARIANT_BOW, VARIANT_VLAD)  # database file codes 0 and 1
 REGISTRATION_METHODS = ("umeyama", "ransac", "ransac+icp", "gnc")
 INVALID_DEPTH_MAX = 0.999  # normalized depth at or above this means no/far hit
 
@@ -155,10 +156,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class DatabaseFrame:
-    """What localization reads of one database frame; its retrieval
-    embedding is row frame_id of the database's index."""
+    """What localization reads of one database frame.  Its position in
+    LocalizationDatabase.frames is its frame id and its row in the index."""
 
-    frame_id: int
     point_id: int
     pose: Pose
     keypoint_xy: np.ndarray  # (n, 2) float64
@@ -173,10 +173,7 @@ class LocalizationDatabase:
     vocabulary: Vocabulary
     index: RetrievalIndex
     intrinsics: CameraIntrinsics
-    variant: str
-
-    def frame_by_id(self, frame_id: int) -> DatabaseFrame:
-        return self.frames[frame_id]
+    variant: str  # what the index rows embed, and so what a query embeds
 
 
 def _embed(
@@ -185,7 +182,7 @@ def _embed(
     variant: str,
     words: np.ndarray | None = None,
     out: np.ndarray | None = None,
-) -> GlobalEmbedding:
+) -> np.ndarray:
     embed = embed_bow if variant == VARIANT_BOW else embed_vlad
     return embed(descriptors, vocab, words, out)
 
@@ -199,7 +196,19 @@ def _index(frames: Sequence[DatabaseFrame], vocab: Vocabulary, variant: str) -> 
     matrix = np.zeros((len(frames), dim))
     for i, f in enumerate(frames):
         _embed(f.descriptors, vocab, variant, f.words, out=matrix[i])
-    return RetrievalIndex(np.arange(len(frames), dtype=np.int64), matrix, variant)
+    return RetrievalIndex(matrix)
+
+
+def _check_camera(frame: Frame, k: CameraIntrinsics) -> None:
+    """A frame's rasters must be the size of the camera its keypoints are
+    lifted with."""
+    height, width = frame.depth.shape
+    if (width, height) != (k.width, k.height):
+        kind = "database" if frame.is_database else "query"
+        raise DatasetFormatError(
+            f"point {frame.point_id} {kind} frame {frame.frame_id}: rasters are "
+            f"{width}x{height}, the database camera is {k.width}x{k.height}"
+        )
 
 
 def extract_frame_features(
@@ -219,15 +228,15 @@ def build_database(
     intrinsics: CameraIntrinsics,
 ) -> LocalizationDatabase:
     """Precompute features, words, keypoint depths and the retrieval index
-    over every database frame (6 per point); frame ids are assigned in
-    (point, yaw) order."""
+    over every database frame (6 per point), in (point, yaw) order.  The
+    index embeds config.retrieval; every frame must match the camera."""
     frames: list[DatabaseFrame] = []
     for group in sorted(dataset, key=lambda g: g.point_id):
         for f in group.database_frames:
+            _check_camera(f, intrinsics)
             xy, desc = extract_frame_features(f, config)
             frames.append(
                 DatabaseFrame(
-                    frame_id=len(frames),
                     point_id=f.point_id,
                     pose=f.pose,
                     keypoint_xy=xy,
@@ -367,17 +376,20 @@ def localize(
     maps query-camera points into top1-camera coordinates; when matching or
     registration cannot produce one, the retrieved pose itself is returned
     with fallback=True.  With retrieval_only the query stops after retrieval
-    and answers with the retrieved pose (the retrieval-only baseline).
+    and answers with the retrieved pose (the retrieval-only baseline).  The
+    query is embedded as the database's rows are (db.variant), so
+    config.retrieval plays no part here.
     """
+    _check_camera(query, db.intrinsics)
     clock = _StageClock(config.record_timings)
     query_xy, query_desc = extract_frame_features(query, config)
     clock.lap("feature_extraction")
-    embedding = _embed(query_desc, db.vocabulary, config.retrieval)
+    embedding = _embed(query_desc, db.vocabulary, db.variant)
     clock.lap("embedding_extraction")
     top1_id, _ = query_top1(db.index, embedding)
     clock.lap("embedding_matching")
 
-    db_frame = db.frame_by_id(top1_id)
+    db_frame = db.frames[top1_id]
     pose, match_count, inliers, fallback = db_frame.pose, 0, 0, True
     if not retrieval_only:
         matches = match(query_desc, db_frame.descriptors, config.ratio, config.mutual)
@@ -534,12 +546,10 @@ def save_database(db: LocalizationDatabase, path: str | Path) -> None:
     k = db.intrinsics
     with open(path, "wb") as fh:
         fh.write(_DB_MAGIC)
-        variant_code = 0 if db.variant == VARIANT_BOW else 1
-        fh.write(struct.pack(">IB", _DB_VERSION, variant_code))
+        fh.write(struct.pack(">IB", _DB_VERSION, RETRIEVAL_VARIANTS.index(db.variant)))
         fh.write(struct.pack(">ddddII", k.fx, k.fy, k.cx, k.cy, k.width, k.height))
         fh.write(struct.pack(">Iq", db.vocabulary.k, db.vocabulary.training_seed))
-        fh.write(np.ascontiguousarray(db.vocabulary.centroids, dtype=np.uint8).tobytes())
-        fh.write(np.ascontiguousarray(db.vocabulary.idf, dtype=">f8").tobytes())
+        write_vocabulary_body(fh, db.vocabulary)
         fh.write(struct.pack(">I", len(db.frames)))
         for f in db.frames:
             n, p = len(f.keypoint_xy), f.pose
@@ -556,10 +566,7 @@ class DatabaseFormatError(ValueError):
     """A database file that is truncated, corrupt or of another format."""
 
 
-def _read_record(
-    r: ExactReader, frame_id: int, vocab_k: int, k: CameraIntrinsics
-) -> DatabaseFrame:
-    where = f"frame {frame_id}"
+def _read_record(r: ExactReader, where: str, vocab_k: int, k: CameraIntrinsics) -> DatabaseFrame:
     (length,) = r.unpack(">I", f"{where} record length")
     record = r.read(length, f"{where} record")
     if length < _FRAME_HEAD.size:
@@ -590,7 +597,7 @@ def _read_record(
         raise r.fail(f"{where} has a keypoint outside the {k.width}x{k.height} raster")
     if np.any(words >= vocab_k):
         raise r.fail(f"{where} has a word id outside the {vocab_k}-word vocabulary")
-    return DatabaseFrame(frame_id, point_id, pose, xy, desc, depth, words)
+    return DatabaseFrame(point_id, pose, xy, desc, depth, words)
 
 
 def load_database(path: str | Path) -> LocalizationDatabase:
@@ -606,9 +613,9 @@ def load_database(path: str | Path) -> LocalizationDatabase:
                 f"{_DB_VERSION}; rebuild the database with pointloc build-db)"
             )
         (variant_code,) = r.unpack(">B", "variant")
-        if variant_code not in (0, 1):
+        if variant_code >= len(RETRIEVAL_VARIANTS):
             raise r.fail(f"unknown retrieval variant code {variant_code}")
-        variant = VARIANT_BOW if variant_code == 0 else VARIANT_VLAD
+        variant = RETRIEVAL_VARIANTS[variant_code]
         fx, fy, cx, cy, width, height = r.unpack(">ddddII", "intrinsics")
         try:
             if not all(math.isfinite(v) for v in (fx, fy, cx, cy)):
@@ -616,19 +623,11 @@ def load_database(path: str | Path) -> LocalizationDatabase:
             intrinsics = CameraIntrinsics(fx, fy, cx, cy, width, height)
         except ValueError as e:
             raise r.fail(f"bad intrinsics: {e}") from e
-        vocab_k, seed = r.unpack(">Iq", "vocabulary size and seed")
-        if vocab_k == 0:
-            raise r.fail("vocabulary has no words")
-        centroids = r.array(vocab_k * DESCRIPTOR_BYTES, np.uint8, "vocabulary centroids")
-        centroids = centroids.reshape(vocab_k, DESCRIPTOR_BYTES).copy()
-        idf = r.array(vocab_k, ">f8", "vocabulary idf").astype(np.float64)
-        if not np.all(np.isfinite(idf)):
-            raise r.fail("vocabulary idf weights are not finite")
-        vocab = Vocabulary(vocab_k, centroids, idf, seed)
+        vocab = read_vocabulary_body(r, *r.unpack(">Iq", "vocabulary size and seed"))
         (n_frames,) = r.unpack(">I", "frame count")
         if n_frames == 0:
             raise r.fail("database holds no frames")
-        frames = [_read_record(r, i, vocab_k, intrinsics) for i in range(n_frames)]
+        frames = [_read_record(r, f"frame {i}", vocab.k, intrinsics) for i in range(n_frames)]
         r.expect_end("the last frame")
     index = _index(frames, vocab, variant)
     return LocalizationDatabase(tuple(frames), vocab, index, intrinsics, variant)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from pointloc.binio import ExactReader
 from pointloc.features import DESCRIPTOR_BITS, DESCRIPTOR_BYTES, hamming_matrix
 
 ZERO_VECTOR_DISTANCE = 2.0  # distance assigned to/from all-zero embeddings
-
-VARIANT_BOW = "bow"
-VARIANT_VLAD = "vlad"
 
 
 class InsufficientDataError(Exception):
@@ -57,31 +54,17 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class GlobalEmbedding:
-    values: np.ndarray
-    variant: str
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
-
-@dataclass(frozen=True)
 class RetrievalIndex:
-    frame_ids: np.ndarray  # (n,) int64
+    """One float64 embedding row per database frame: a frame's row number is
+    its id."""
+
     matrix: np.ndarray  # (n, dim) float64
-    variant: str
     # Derived once from the matrix (never stored on disk): all-zero rows and
     # squared row norms, the per-row half of the inner-product ranking.
     zero_rows: np.ndarray = field(init=False, repr=False, compare=False)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.frame_ids) != len(self.matrix):
-            raise ValueError("one embedding per frame id required")
-        self.frame_ids.setflags(write=False)
         self.matrix.setflags(write=False)
         sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
         zero_rows = sq_norms == 0.0
@@ -92,7 +75,7 @@ class RetrievalIndex:
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.frame_ids)
+        return len(self.matrix)
 
 
 def assign_words(descriptors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -190,7 +173,7 @@ def embed_bow(
     vocab: Vocabulary,
     words: np.ndarray | None = None,
     out: np.ndarray | None = None,
-) -> GlobalEmbedding:
+) -> np.ndarray:
     """TF-IDF bag-of-words histogram, L2-normalized; empty input -> zeros.
 
     `words` are the descriptors' vocabulary words when already assigned;
@@ -206,7 +189,7 @@ def embed_bow(
             values /= norm
         else:
             values[:] = 0.0  # +0.0: a zero count times a negative idf is -0.0
-    return GlobalEmbedding(values, VARIANT_BOW)
+    return values
 
 
 def embed_vlad(
@@ -214,7 +197,7 @@ def embed_vlad(
     vocab: Vocabulary,
     words: np.ndarray | None = None,
     out: np.ndarray | None = None,
-) -> GlobalEmbedding:
+) -> np.ndarray:
     """Per-word residual aggregation over +/-1 descriptor vectors with
     intra-normalization, then global L2 normalization; empty input -> zeros.
 
@@ -253,41 +236,26 @@ def embed_vlad(
         norm = np.linalg.norm(values)
         if norm > 0:
             values /= norm
-    return GlobalEmbedding(values, VARIANT_VLAD)
+    return values
 
 
-def build_index(frame_ids: Sequence[int], embeddings: Sequence[GlobalEmbedding]) -> RetrievalIndex:
-    if len(frame_ids) != len(embeddings):
-        raise ValueError("frame_ids and embeddings must align")
-    if not embeddings:
-        return RetrievalIndex(np.zeros(0, dtype=np.int64), np.zeros((0, 0)), VARIANT_BOW)
-    variant = embeddings[0].variant
-    if any(e.variant != variant for e in embeddings):
-        raise ValueError("all embeddings in an index must share one variant")
-    matrix = np.stack([e.values for e in embeddings]).astype(np.float64, copy=False)
-    return RetrievalIndex(np.asarray(frame_ids, dtype=np.int64).copy(), matrix, variant)
-
-
-def _ranked(index: RetrievalIndex, q: GlobalEmbedding, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(index: RetrievalIndex, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the k best frames in rank order, and their exact distances.
 
     The exact distance of a row is the row sum of its squared difference to
     the query.  Zero embeddings (either side) sit at ZERO_VECTOR_DISTANCE and
     are ranked after every nonzero frame so that a featureless frame can only
-    win when nothing else is there; equal distances go to the lowest frame id.
+    win when nothing else is there; equal distances go to the lowest row.
     """
     if len(index) == 0:
         raise EmptyIndexError("retrieval index is empty")
-    if q.variant != index.variant or len(q.values) != index.matrix.shape[1]:
-        raise ValueError(
-            f"query variant/dim {q.variant}/{len(q.values)} does not match "
-            f"index {index.variant}/{index.matrix.shape[1]}"
-        )
+    if len(q) != index.matrix.shape[1]:
+        raise ValueError(f"query dim {len(q)} does not match index dim {index.matrix.shape[1]}")
     k = min(max(0, k), len(index))
     if k == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    if q.is_zero():
-        rows = np.lexsort((index.frame_ids, index.zero_rows))[:k]
+    if not np.any(q):
+        rows = np.argsort(index.zero_rows, kind="stable")[:k]
         return rows, np.full(k, ZERO_VECTOR_DISTANCE)
 
     # One GEMV ranks every row by ||d||^2 - 2 d.q + ||q||^2; only rows that
@@ -302,9 +270,8 @@ def _ranked(index: RetrievalIndex, q: GlobalEmbedding, k: int) -> tuple[np.ndarr
     # (k-th best GEMV value) + delta, and every row at or below it has a GEMV
     # value at most (k-th best GEMV value) + 2 delta: that is the margin.
     # For unit rows at dim 65,536 gamma_m is 7.3e-12 and the margin 1.2e-10.
-    qv = q.values
-    qq = float(qv @ qv)
-    approx = index.sq_norms - 2.0 * (index.matrix @ qv) + qq
+    qq = float(q @ q)
+    approx = index.sq_norms - 2.0 * (index.matrix @ q) + qq
     approx[index.zero_rows] = np.inf
     mu = (index.matrix.shape[1] + 2) * np.finfo(np.float64).eps / 2  # m u
     gamma = mu / (1.0 - mu)
@@ -318,34 +285,55 @@ def _ranked(index: RetrievalIndex, q: GlobalEmbedding, k: int) -> tuple[np.ndarr
     # with it (einsum does not: on a single 65,536-wide row it sums in
     # buffered chunks), so top-1 and top-k report identical distances.
     diff = index.matrix[cand[~zero]]  # a copy: square it in place
-    diff -= qv
+    diff -= q
     diff *= diff
     dist[~zero] = diff.sum(axis=1)
-    order = np.lexsort((index.frame_ids[cand], dist, zero))[:k]
+    order = np.lexsort((cand, dist, zero))[:k]
     return cand[order], dist[order]
 
 
-def query_top1(index: RetrievalIndex, q: GlobalEmbedding) -> tuple[int, float]:
-    """Closest database frame by squared Euclidean distance between unit
-    embeddings; ties broken by the lowest frame id."""
+def query_top1(index: RetrievalIndex, q: np.ndarray) -> tuple[int, float]:
+    """Row of the closest database frame by squared Euclidean distance
+    between unit embeddings, and the distance; ties go to the lowest row."""
     rows, dist = _ranked(index, q, 1)
-    return int(index.frame_ids[rows[0]]), float(dist[0])
+    return int(rows[0]), float(dist[0])
 
 
-def query_topk(index: RetrievalIndex, q: GlobalEmbedding, k: int) -> list[tuple[int, float]]:
+def query_topk(index: RetrievalIndex, q: np.ndarray, k: int) -> list[tuple[int, float]]:
     rows, dist = _ranked(index, q, k)
-    return [(int(index.frame_ids[r]), float(v)) for r, v in zip(rows, dist)]
+    return [(int(r), float(v)) for r, v in zip(rows, dist)]
 
 
-# --- vocabulary / embedding files -------------------------------------------------
+# --- vocabulary files ----------------------------------------------------------
+#
+# The vocabulary body, k x 32 u8 centroids then k f64 idf weights
+# (big-endian), follows a header in both the vocabulary file and the
+# database file; write_vocabulary_body and read_vocabulary_body are its one
+# writer and one reader.
+
+
+def write_vocabulary_body(fh: BinaryIO, vocab: Vocabulary) -> None:
+    fh.write(np.ascontiguousarray(vocab.centroids, dtype=np.uint8).tobytes())
+    fh.write(np.ascontiguousarray(vocab.idf, dtype=">f8").tobytes())
+
+
+def read_vocabulary_body(r: ExactReader, k: int, seed: int) -> Vocabulary:
+    """The vocabulary of k words whose body comes next in r; its header
+    gave k and the training seed."""
+    if k == 0:
+        raise r.fail("vocabulary has no words")
+    centroids = r.array(k * DESCRIPTOR_BYTES, np.uint8, "vocabulary centroids")
+    idf = r.array(k, ">f8", "vocabulary idf weights").astype(np.float64)
+    if not np.all(np.isfinite(idf)):
+        raise r.fail("vocabulary idf weights are not finite")
+    return Vocabulary(k, centroids.reshape(k, DESCRIPTOR_BYTES).copy(), idf, seed)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Binary: u32 k, u32 bits, i64 seed (big-endian), centroids, idf floats."""
+    """Binary: u32 k, u32 bits, i64 seed (big-endian), then the body."""
     with open(path, "wb") as fh:
         fh.write(struct.pack(">IIq", vocab.k, DESCRIPTOR_BITS, vocab.training_seed))
-        fh.write(np.ascontiguousarray(vocab.centroids, dtype=np.uint8).tobytes())
-        fh.write(np.ascontiguousarray(vocab.idf, dtype=">f8").tobytes())
+        write_vocabulary_body(fh, vocab)
 
 
 class VocabularyFormatError(ValueError):
@@ -358,9 +346,6 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         k, bits, seed = r.unpack(">IIq", "header")
         if bits != DESCRIPTOR_BITS:
             raise r.fail(f"vocabulary stores {bits}-bit words, expected {DESCRIPTOR_BITS}")
-        if k == 0:
-            raise r.fail("vocabulary has no words")
-        centroids = r.array(k * DESCRIPTOR_BYTES, np.uint8, "centroids")
-        idf = r.array(k, ">f8", "idf weights").astype(np.float64)
+        vocab = read_vocabulary_body(r, k, seed)
         r.expect_end("the idf weights")
-    return Vocabulary(k, centroids.reshape(k, DESCRIPTOR_BYTES).copy(), idf, seed)
+    return vocab

@@ -179,7 +179,8 @@ def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):
 
 
 def scan_ranked(matrix: np.ndarray, frame_ids, q: np.ndarray) -> list[tuple[int, float]]:
-    """Every frame as (frame_id, distance) in rank order, one row at a time.
+    """Every frame as (frame_id, distance) in rank order, one row at a time;
+    with frame_ids = range(n) the ids are the rows.
 
     Distance is the sum of the squared difference to the query; an all-zero
     row or query scores 2.0.  Zero rows rank after all others, then distance,
@@ -353,9 +354,10 @@ def lift_cloud_scalar(xy, depth, k):
 
 def embed_vlad_per_word(descriptors, vocab):
     """The per-word VLAD aggregation loop: retrieval.embed_vlad as it was
-    before the one-hot product, kept verbatim as its oracle."""
+    before the one-hot product, kept verbatim as its oracle (returning the
+    row itself, as embed_vlad now does)."""
     from pointloc.features import DESCRIPTOR_BITS
-    from pointloc.retrieval import VARIANT_VLAD, GlobalEmbedding, assign_words
+    from pointloc.retrieval import assign_words
 
     def _descriptor_signs(descriptors: np.ndarray) -> np.ndarray:
         """Descriptor bits as +/-1 float rows."""
@@ -364,7 +366,7 @@ def embed_vlad_per_word(descriptors, vocab):
 
     dim = vocab.k * DESCRIPTOR_BITS
     if len(descriptors) == 0:
-        return GlobalEmbedding(np.zeros(dim), VARIANT_VLAD)
+        return np.zeros(dim)
     descriptors = np.asarray(descriptors, dtype=np.uint8)
     words = assign_words(descriptors, vocab.centroids)
     signs = _descriptor_signs(descriptors)
@@ -378,4 +380,4 @@ def embed_vlad_per_word(descriptors, vocab):
         blocks = np.where(norms > 0, blocks / norms, 0.0)
     flat = blocks.ravel()
     norm = np.linalg.norm(flat)
-    return GlobalEmbedding(flat / norm if norm > 0 else np.zeros(dim), VARIANT_VLAD)
+    return flat / norm if norm > 0 else np.zeros(dim)

@@ -54,7 +54,7 @@ from pointloc.registration import (
     ransac_register,
     umeyama,
 )
-from pointloc.retrieval import GlobalEmbedding, build_index, query_top1, query_topk
+from pointloc.retrieval import RetrievalIndex, query_top1, query_topk
 from pointloc.scene import camera_yaw
 
 SEED = 7
@@ -216,28 +216,26 @@ class TestCriterion3RetrievalCorrectness:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         vectors[10] = vectors[3]  # engineered duplicates force tie-breaking
         vectors[40] = vectors[3]
-        embs = [GlobalEmbedding(v.copy(), "bow") for v in vectors]
-        index = build_index(list(range(n_db)), embs)
+        index = RetrievalIndex(vectors.copy())
         for case in range(1000):
             if case % 5 == 0:
-                q = embs[int(rng.integers(n_db))]  # exact ties with duplicates
+                q = vectors[int(rng.integers(n_db))]  # exact ties with duplicates
             else:
                 v = rng.normal(size=dim)
-                q = GlobalEmbedding(v / np.linalg.norm(v), "bow")
-            dists = [float(np.sum((e.values - q.values) ** 2)) for e in embs]
+                q = v / np.linalg.norm(v)
+            dists = [float(np.sum((e - q) ** 2)) for e in vectors]
             order = sorted(range(n_db), key=lambda i: (dists[i], i))
-            fid, dist = query_top1(index, q)
-            assert fid == order[0]
+            row, dist = query_top1(index, q)
+            assert row == order[0]
             assert dist == pytest.approx(dists[order[0]], abs=1e-12)
             topk = query_topk(index, q, 7)
             assert [f for f, _ in topk] == order[:7]
 
     def test_self_retrieval_generated_scene(self, pipeline_state):
         db = pipeline_state["db"]
-        for frame in db.frames:
-            embedding = GlobalEmbedding(db.index.matrix[frame.frame_id], db.variant)
-            fid, dist = query_top1(db.index, embedding)
-            assert fid == frame.frame_id
+        for i in range(len(db.frames)):
+            row, dist = query_top1(db.index, db.index.matrix[i])
+            assert row == i
             assert dist < 1e-9
         announce(
             3,

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, main
-from pointloc.dataset import write_pgm16
+from pointloc.dataset import read_pgm16, read_ppm, write_pgm16, write_ppm
 from pointloc.evaluation import parse_recall_csv
 
 CONFIG_TEXT = """\
@@ -116,6 +117,24 @@ class TestLocalizeAndEvaluate:
         assert rc == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert all(l.split(",")[3] == "1" for l in lines)  # every row is a fallback
+
+    def test_localize_follows_the_database_variant(self, workspace, tmp_path):
+        """The retrieval key picks what build-db builds; localize embeds
+        queries as the database's rows are embedded, whatever the key."""
+        outputs = []
+        for retrieval in ("vlad", "bow"):
+            config = tmp_path / f"{retrieval}.cfg"
+            config.write_text(
+                CONFIG_TEXT.replace("retrieval = vlad", f"retrieval = {retrieval}")
+                .replace("record_timings = true", "record_timings = false")
+            )
+            out = tmp_path / f"{retrieval}.csv"
+            assert main(
+                ["localize", "--db", str(workspace["db"]), "--dataset", str(workspace["dataset"]),
+                 "--config", str(config), "--out", str(out)]
+            ) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_missing_dataset_is_data_error(self, workspace, tmp_path, capsys):
         rc = main(
@@ -231,6 +250,43 @@ class TestCorruptDataset:
         assert f"frame {victim.with_suffix('')}: rasters disagree in size" in err
         assert ".depth 8x8" in err
 
+    @staticmethod
+    def halve(stem):
+        """Rewrite a frame's three rasters at half its resolution."""
+        write_ppm(stem.with_suffix(".rgb"), read_ppm(stem.with_suffix(".rgb"))[::2, ::2].copy())
+        for suffix in (".depth", ".inst"):
+            path = stem.with_suffix(suffix)
+            write_pgm16(path, read_pgm16(path)[::2, ::2].copy())
+
+    def test_query_off_the_camera_resolution_is_data_error(self, workspace, tmp_path, capsys):
+        """Its keypoints would be lifted with the 256 px intrinsics."""
+        ds, q_dir = self.copy(workspace, tmp_path)
+        victim = sorted(q_dir.glob("q_*.pose"))[0].with_suffix("")
+        self.halve(victim)
+        assert self.localize(workspace, ds, tmp_path) == EXIT_DATA
+        assert (
+            f"point {q_dir.name} query frame {victim.name[2:]}: rasters are 128x128, "
+            f"the database camera is 256x256"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_database_frame_off_the_camera_resolution_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        ds, _ = self.copy(workspace, tmp_path)
+        p_dir = sorted((ds / "points").iterdir())[-1]
+        self.halve(p_dir / "db_2")
+        rc = main(
+            ["build-db", "--dataset", str(ds), "--vocab", str(workspace["vocab"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_DATA
+        assert (
+            f"point {p_dir.name} database frame 2: rasters are 128x128, "
+            f"the database camera is 256x256"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "db.bin").exists()
+
     @pytest.mark.parametrize("field, value", [(3, "x"), (3, "2"), (4, "abc"), (13, "nan")])
     def test_corrupt_results_is_data_error(self, workspace, tmp_path, capsys, field, value):
         lines = workspace["results"].read_text().splitlines()
@@ -255,6 +311,22 @@ class TestCorruptVocabulary:
             )
             assert rc == EXIT_DATA
             assert "truncated" in capsys.readouterr().err
+        assert not (tmp_path / "db.bin").exists()
+
+    def test_non_finite_idf_is_data_error(self, workspace, tmp_path, capsys):
+        """Refused before anything is built: with a NaN weight every BoW
+        row would be zero."""
+        data = bytearray(workspace["vocab"].read_bytes())
+        at = 16 + 32 * int.from_bytes(data[:4], "big")  # the first idf weight
+        data[at : at + 8] = struct.pack(">d", float("nan"))
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(bytes(data))
+        rc = main(
+            ["build-db", "--dataset", str(workspace["dataset"]), "--vocab", str(bad),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_DATA
+        assert f"{bad}: vocabulary idf weights are not finite" in capsys.readouterr().err
         assert not (tmp_path / "db.bin").exists()
 
 

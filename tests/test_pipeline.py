@@ -191,7 +191,7 @@ class TestLocalize:
         res = localize(db, flat, cfg)
         assert res.fallback
         assert res.inlier_count == 0
-        assert res.estimated_pose == db.frame_by_id(res.top1_frame_id).pose
+        assert res.estimated_pose == db.frames[res.top1_frame_id].pose
 
     def test_umeyama_self_queries_never_fall_back(self, dataset, db):
         cfg = PipelineConfig(method="umeyama")
@@ -353,7 +353,7 @@ class TestRetrievalOnly:
         res = localize(db, q, cfg, retrieval_only=True)
         assert res.fallback
         assert res.match_count == 0 and res.inlier_count == 0
-        assert res.estimated_pose == db.frame_by_id(res.top1_frame_id).pose
+        assert res.estimated_pose == db.frames[res.top1_frame_id].pose
 
     def test_db_frame_query_returns_exact_pose(self, dataset, db):
         cfg = PipelineConfig()
@@ -365,7 +365,7 @@ class TestRetrievalOnly:
         cfg = PipelineConfig()
         q = dataset[0].query_frames[1]
         res = localize(db, q, cfg, retrieval_only=True)
-        retrieved_pose = db.frame_by_id(res.top1_frame_id).pose
+        retrieved_pose = db.frames[res.top1_frame_id].pose
         assert translation_error(res.estimated_pose, q.pose) == translation_error(
             retrieved_pose, q.pose
         )
@@ -378,7 +378,7 @@ class TestRetrievalOnly:
                 res = localize(db, q, cfg, retrieval_only=True)
                 assert res.top1_frame_id == full.top1_frame_id
                 assert res.fallback and res.match_count == 0 and res.inlier_count == 0
-                assert res.estimated_pose == db.frame_by_id(res.top1_frame_id).pose
+                assert res.estimated_pose == db.frames[res.top1_frame_id].pose
 
     def test_timings_stop_after_retrieval(self, dataset, db):
         res = localize(db, dataset[0].query_frames[0], PipelineConfig(), retrieval_only=True)
@@ -471,9 +471,8 @@ class TestDatabaseFile:
         assert loaded.intrinsics == db.intrinsics
         # the rebuilt rows are the built ones, bit for bit
         assert loaded.index.matrix.tobytes() == db.index.matrix.tobytes()
-        assert np.array_equal(loaded.index.frame_ids, db.index.frame_ids)
         for a, b in zip(db.frames, loaded.frames):
-            assert a.frame_id == b.frame_id and a.point_id == b.point_id
+            assert a.point_id == b.point_id
             assert a.pose == b.pose
             assert np.array_equal(a.keypoint_xy, b.keypoint_xy)
             assert np.array_equal(a.descriptors, b.descriptors)
@@ -482,14 +481,23 @@ class TestDatabaseFile:
 
     def test_frame_ids_are_record_positions(self, db, tmp_path):
         """Version 1 stored each frame's id and took it on trust: ids 1, 0,
-        4000 loaded, frame_by_id(0) then answered with frame 1 and a top-1 of
-        4000 raised IndexError at query time.  Version 2 stores no id."""
+        4000 loaded, frame 0 then answered with frame 1 and a top-1 of
+        4000 raised IndexError at query time.  Version 2 stores no id: frame
+        i is the i-th record, whose point id and pose come back as frame i."""
         save_database(db, tmp_path / "db.bin")
+        data = (tmp_path / "db.bin").read_bytes()
         loaded = load_database(tmp_path / "db.bin")
-        assert [f.frame_id for f in loaded.frames] == list(range(len(loaded.frames)))
-        assert loaded.index.frame_ids.tolist() == list(range(len(loaded.frames)))
-        for i in range(len(loaded.frames)):
-            assert loaded.frame_by_id(i).frame_id == i
+        at, _ = record_offsets(data, db.vocabulary.k)
+        assert int.from_bytes(data[at - 4 : at], "big") == len(loaded.frames)
+        for built, frame in zip(db.frames, loaded.frames):
+            point_id, *pose, _ = struct.unpack_from(">I7dI", data, at + 4)
+            q = frame.pose.rotation
+            assert point_id == frame.point_id == built.point_id
+            assert pose == [*frame.pose.translation, q.w, q.x, q.y, q.z]
+            assert frame.pose == built.pose
+            at += 4 + int.from_bytes(data[at : at + 4], "big")
+        assert at == len(data)
+        assert len(loaded.index) == len(loaded.frames)
 
     def test_byte_deterministic(self, db, tmp_path):
         save_database(db, tmp_path / "a.bin")
@@ -588,10 +596,10 @@ class TestDatabaseFile:
         at every byte."""
         frames = tuple(
             DatabaseFrame(
-                i, f.point_id, f.pose, f.keypoint_xy[:5], f.descriptors[:5],
+                f.point_id, f.pose, f.keypoint_xy[:5], f.descriptors[:5],
                 f.keypoint_depth[:5], f.words[:5],
             )
-            for i, f in enumerate(db.frames[:3])
+            for f in db.frames[:3]
         )
         vocab = db.vocabulary
         return replace(db, frames=frames, index=pipeline._index(frames, vocab, db.variant))
@@ -627,9 +635,7 @@ class TestDatabaseFile:
         assert a.top1_frame_id == b.top1_frame_id
 
     def test_empty_database_query_raises(self, vocab):
-        from pointloc.retrieval import build_index
+        from pointloc.retrieval import RetrievalIndex, query_top1
 
         with pytest.raises(EmptyIndexError):
-            from pointloc.retrieval import query_top1, GlobalEmbedding
-
-            query_top1(build_index([], []), GlobalEmbedding(np.zeros(4), "bow"))
+            query_top1(RetrievalIndex(np.zeros((0, 4))), np.zeros(4))

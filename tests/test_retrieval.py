@@ -12,14 +12,11 @@ from oracles import embed_vlad_per_word, hamming, scan_ranked
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
     EmptyIndexError,
-    GlobalEmbedding,
     InsufficientDataError,
-    VARIANT_BOW,
-    VARIANT_VLAD,
+    RetrievalIndex,
     Vocabulary,
     VocabularyFormatError,
     assign_words,
-    build_index,
     embed_bow,
     embed_vlad,
     load_vocabulary,
@@ -44,9 +41,13 @@ def two_cluster_pool(n_each=30):
     return a, b
 
 
-def unit_embedding(rng, dim=16, variant=VARIANT_BOW):
+def unit_embedding(rng, dim=16):
     v = rng.normal(size=dim)
-    return GlobalEmbedding(v / np.linalg.norm(v), variant)
+    return v / np.linalg.norm(v)
+
+
+def index_of(rows) -> RetrievalIndex:
+    return RetrievalIndex(np.array(rows, dtype=np.float64))
 
 
 class TestTrainVocabulary:
@@ -95,20 +96,20 @@ class TestEmbedBow:
 
     def test_empty_is_zero_vector(self, vocab):
         e = embed_bow(np.zeros((0, 32), dtype=np.uint8), vocab)
-        assert e.is_zero()
-        assert e.variant == VARIANT_BOW
+        assert not np.any(e)
+        assert e.shape == (vocab.k,) and e.dtype == np.float64
 
     def test_unit_norm(self, vocab, rng):
         e = embed_bow(random_descriptors(rng, 40), vocab)
-        assert np.linalg.norm(e.values) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_word_is_one_hot(self, vocab):
         word = 2
         descs = np.repeat(vocab.centroids[word : word + 1], 5, axis=0)
         e = embed_bow(descs, vocab)
-        nonzero = np.nonzero(e.values)[0]
+        nonzero = np.nonzero(e)[0]
         assert nonzero.tolist() == [word]
-        assert abs(abs(e.values[word]) - 1.0) < 1e-12
+        assert abs(abs(e[word]) - 1.0) < 1e-12
 
     def test_nonzero_words_match_linear_scan(self, vocab, rng):
         descs = random_descriptors(rng, 25)
@@ -117,7 +118,7 @@ class TestEmbedBow:
         for d in descs:
             dists = [hamming(d, c) for c in vocab.centroids]
             expected_words.add(min(range(len(dists)), key=lambda i: (dists[i], i)))
-        observed = set(np.nonzero(e.values)[0].tolist())
+        observed = set(np.nonzero(e)[0].tolist())
         # idf can legitimately zero a word; observed must be a subset hit only
         # where idf vanishes
         for w in expected_words - observed:
@@ -128,7 +129,7 @@ class TestEmbedBow:
         descs = random_descriptors(rng, 30)
         once = embed_bow(descs, vocab)
         twice = embed_bow(np.concatenate([descs, descs]), vocab)
-        assert np.allclose(once.values, twice.values, atol=1e-12)
+        assert np.allclose(once, twice, atol=1e-12)
 
 
 class TestEmbedVlad:
@@ -139,17 +140,17 @@ class TestEmbedVlad:
 
     def test_empty_is_zero_vector(self, vocab):
         e = embed_vlad(np.zeros((0, 32), dtype=np.uint8), vocab)
-        assert e.is_zero()
-        assert len(e.values) == 4 * DESCRIPTOR_BITS
+        assert not np.any(e)
+        assert e.shape == (4 * DESCRIPTOR_BITS,) and e.dtype == np.float64
 
     def test_unit_norm(self, vocab, rng):
         e = embed_vlad(random_descriptors(rng, 40), vocab)
-        assert np.linalg.norm(e.values) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-9)
 
     def test_centroid_descriptor_zero_residual_block(self, vocab):
         word = 1
         e = embed_vlad(vocab.centroids[word : word + 1], vocab)
-        block = e.values[word * DESCRIPTOR_BITS : (word + 1) * DESCRIPTOR_BITS]
+        block = e[word * DESCRIPTOR_BITS : (word + 1) * DESCRIPTOR_BITS]
         assert np.all(block == 0.0)
 
     def test_matches_reference_aggregation(self, vocab, rng):
@@ -171,7 +172,7 @@ class TestEmbedVlad:
                 blocks[w] /= n
         flat = blocks.ravel()
         flat /= np.linalg.norm(flat)
-        assert np.allclose(e.values, flat, atol=1e-12)
+        assert np.allclose(e, flat, atol=1e-12)
 
 
 def float_bits(values: np.ndarray) -> np.ndarray:
@@ -207,9 +208,9 @@ class TestEmbedVladOneHot:
             parts.append(descs[rng.integers(0, n, duplicates)])
         descs = np.concatenate(parts)
         descs = descs[rng.permutation(len(descs))]
-        want = embed_vlad_per_word(descs, vocab).values
+        want = embed_vlad_per_word(descs, vocab)
         words = assign_words(descs, centroids) if words_given else None
-        got = embed_vlad(descs, vocab, words).values
+        got = embed_vlad(descs, vocab, words)
         assert np.array_equal(float_bits(got), float_bits(want))
 
     def test_centroid_members_leave_zero_block(self, rng):
@@ -219,8 +220,8 @@ class TestEmbedVladOneHot:
         near_0[0] ^= 1
         descs = np.stack([centroids[2], near_0, centroids[2]])
         assert assign_words(descs, centroids).tolist() == [2, 0, 2]
-        got = embed_vlad(descs, vocab).values
-        assert np.array_equal(float_bits(got), float_bits(embed_vlad_per_word(descs, vocab).values))
+        got = embed_vlad(descs, vocab)
+        assert np.array_equal(float_bits(got), float_bits(embed_vlad_per_word(descs, vocab)))
         blocks = got.reshape(4, DESCRIPTOR_BITS)
         assert not np.any(blocks[2]) and np.any(blocks[0])
 
@@ -228,50 +229,50 @@ class TestEmbedVladOneHot:
     def test_words_and_out_change_no_bit(self, rng, embed):
         vocab = train_vocabulary([random_descriptors(rng, 60) for _ in range(4)], k=8, seed=1)
         descs = random_descriptors(rng, 50)
-        plain = embed(descs, vocab).values
+        plain = embed(descs, vocab)
         row = np.zeros(len(plain))
         given_words = embed(descs, vocab, assign_words(descs, vocab.centroids), out=row)
-        assert np.shares_memory(given_words.values, row)
-        assert np.array_equal(float_bits(given_words.values), float_bits(plain))
+        assert np.shares_memory(given_words, row)
+        assert np.array_equal(float_bits(given_words), float_bits(plain))
 
 
 class TestQueries:
     def test_query_equal_to_db_embedding(self, rng):
         embs = [unit_embedding(rng) for _ in range(10)]
-        index = build_index(list(range(10)), embs)
-        fid, dist = query_top1(index, embs[4])
-        assert fid == 4
+        index = index_of(embs)
+        row, dist = query_top1(index, embs[4])
+        assert row == 4
         assert dist < 1e-9
 
     def test_orthogonal_two_frame_index(self):
-        e1 = GlobalEmbedding(np.array([1.0, 0.0]), VARIANT_BOW)
-        e2 = GlobalEmbedding(np.array([0.0, 1.0]), VARIANT_BOW)
-        index = build_index([10, 20], [e1, e2])
-        assert query_top1(index, e1)[0] == 10
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        index = index_of([e1, e2])
+        assert query_top1(index, e1) == (0, 0.0)
+        assert query_top1(index, e2) == (1, 0.0)
 
     def test_matches_brute_force_scan(self, rng):
         embs = [unit_embedding(rng) for _ in range(200)]
-        index = build_index(list(range(200)), embs)
+        index = index_of(embs)
         for _ in range(20):
             q = unit_embedding(rng)
-            dists = [float(np.sum((e.values - q.values) ** 2)) for e in embs]
+            dists = [float(np.sum((e - q) ** 2)) for e in embs]
             expected = min(range(200), key=lambda i: (dists[i], i))
-            fid, dist = query_top1(index, q)
-            assert fid == expected
+            row, dist = query_top1(index, q)
+            assert row == expected
             assert dist == pytest.approx(dists[expected], abs=1e-12)
 
     def test_topk_matches_scan_and_sort(self, rng):
         embs = [unit_embedding(rng) for _ in range(50)]
-        index = build_index(list(range(50)), embs)
+        index = index_of(embs)
         q = unit_embedding(rng)
-        dists = [float(np.sum((e.values - q.values) ** 2)) for e in embs]
+        dists = [float(np.sum((e - q) ** 2)) for e in embs]
         expected = sorted(range(50), key=lambda i: (dists[i], i))
         got = query_topk(index, q, 50)
-        assert [fid for fid, _ in got] == expected
+        assert [row for row, _ in got] == expected
 
     def test_topk_prefix_consistent(self, rng):
         embs = [unit_embedding(rng) for _ in range(30)]
-        index = build_index(list(range(30)), embs)
+        index = index_of(embs)
         q = unit_embedding(rng)
         top10 = query_topk(index, q, 10)
         assert query_topk(index, q, 1) == top10[:1]
@@ -279,63 +280,72 @@ class TestQueries:
         assert len(query_topk(index, q, 100)) == 30
 
     def test_empty_index_raises(self, rng):
-        index = build_index([], [])
+        index = RetrievalIndex(np.zeros((0, 16)))
         with pytest.raises(EmptyIndexError):
             query_top1(index, unit_embedding(rng))
 
-    def test_variant_mismatch_raises(self, rng):
-        index = build_index([0], [unit_embedding(rng, variant=VARIANT_BOW)])
-        with pytest.raises(ValueError):
-            query_top1(index, unit_embedding(rng, variant=VARIANT_VLAD))
+    def test_dimension_mismatch_raises(self, rng):
+        index = index_of([unit_embedding(rng, dim=16)])
+        with pytest.raises(ValueError, match="query dim 8 does not match index dim 16"):
+            query_top1(index, unit_embedding(rng, dim=8))
 
     def test_permutation_invariance(self, rng):
-        embs = [unit_embedding(rng) for _ in range(40)]
-        ids = list(range(40))
-        q = unit_embedding(rng)
-        base = query_top1(build_index(ids, embs), q)
-        perm = rng.permutation(40)
-        shuffled = query_top1(build_index([ids[i] for i in perm], [embs[i] for i in perm]), q)
-        assert base == shuffled
+        """Permuting the rows permutes the answer; between tied rows the
+        lowest row of the matrix queried wins."""
+        matrix = np.stack([unit_embedding(rng) for _ in range(40)])
+        tied = [5, 17, 31]
+        matrix[tied] = matrix[9]
+        tied.append(9)
+        index = RetrievalIndex(matrix.copy())
+        assert query_top1(index, matrix[9]) == (5, 0.0)
+        for _ in range(10):
+            perm = rng.permutation(40)
+            shuffled = RetrievalIndex(matrix[perm])
+            for q in (unit_embedding(rng), matrix[9], matrix[perm[0]]):
+                row, dist = query_top1(index, q)
+                # rows of the permuted matrix holding the winning embedding
+                same = [j for j in range(40) if np.array_equal(matrix[perm[j]], matrix[row])]
+                assert len(same) == (4 if row in tied else 1)
+                assert query_top1(shuffled, q) == (same[0], dist)
 
     def test_self_retrieval_every_frame(self, rng):
         embs = [unit_embedding(rng) for _ in range(25)]
-        index = build_index(list(range(25)), embs)
+        index = index_of(embs)
         for i, e in enumerate(embs):
-            fid, dist = query_top1(index, e)
-            assert fid == i and dist < 1e-9
+            row, dist = query_top1(index, e)
+            assert row == i and dist < 1e-9
 
     def test_zero_vector_never_wins_unless_alone(self, rng):
         dim = 4
-        zero = GlobalEmbedding(np.zeros(dim), VARIANT_VLAD)
+        zero = np.zeros(dim)
         # a db embedding at squared distance > 2 from the query (opposite sign)
-        far = GlobalEmbedding(np.eye(dim)[0], VARIANT_VLAD)
-        q = GlobalEmbedding(-np.eye(dim)[0], VARIANT_VLAD)
-        index = build_index([0, 1], [zero, far])
-        fid, _ = query_top1(index, q)
-        assert fid == 1  # the featureless frame loses even at distance 4 > 2
-        only_zero = build_index([5], [zero])
-        fid, dist = query_top1(only_zero, q)
-        assert fid == 5 and dist == 2.0
+        far = np.eye(dim)[0]
+        q = -np.eye(dim)[0]
+        index = index_of([zero, far])
+        row, _ = query_top1(index, q)
+        assert row == 1  # the featureless frame loses even at distance 4 > 2
+        row, dist = query_top1(index_of([zero]), q)
+        assert row == 0 and dist == 2.0
 
     def test_row_whose_norm_underflows_is_not_zero(self):
-        zero = GlobalEmbedding(np.zeros(2), VARIANT_BOW)
-        tiny = GlobalEmbedding(np.array([1e-200, 0.0]), VARIANT_BOW)  # squares to 0
-        q = GlobalEmbedding(np.array([0.0, 1.0]), VARIANT_BOW)
-        index = build_index([0, 1], [zero, tiny])
+        zero = np.zeros(2)
+        tiny = np.array([1e-200, 0.0])  # squares to 0
+        q = np.array([0.0, 1.0])
+        index = index_of([zero, tiny])
         assert query_topk(index, q, 2) == [(1, 1.0), (0, 2.0)]
 
     def test_zero_query_ranks_by_frame_id(self, rng):
-        embs = [unit_embedding(rng, dim=4) for _ in range(3)]
-        index = build_index([7, 3, 9], embs)
-        q = GlobalEmbedding(np.zeros(4), VARIANT_BOW)
-        fid, dist = query_top1(index, q)
-        assert fid == 3 and dist == 2.0
+        embs = [np.zeros(4), unit_embedding(rng, dim=4), np.zeros(4), unit_embedding(rng, dim=4)]
+        index = index_of(embs)
+        q = np.zeros(4)
+        assert query_top1(index, q) == (1, 2.0)
+        assert query_topk(index, q, 4) == [(1, 2.0), (3, 2.0), (0, 2.0), (2, 2.0)]
 
 
 @st.composite
 def tie_heavy_index(draw):
     """Index rows and a query built to stress the exact ranking: duplicate
-    rows under other frame ids, copies moved by a few ulps in one component,
+    rows, copies moved by a few ulps in one component,
     zero rows, and queries that equal, nearly equal or miss every row."""
     dim = draw(st.integers(1, 6))
     component = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -358,35 +368,34 @@ def tie_heavy_index(draw):
         kind = draw(st.sampled_from(("duplicate", "ulps", "zero")))
         base = rows[draw(st.integers(0, len(rows) - 1))]
         rows.append(base.copy() if kind == "duplicate" else nudged(base) if kind == "ulps" else np.zeros(dim))
-    frame_ids = draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows), unique=True))
     kind = draw(st.sampled_from(("row", "ulps", "zero", "free")))
     if kind == "free":
         q = np.array(draw(st.lists(component, min_size=dim, max_size=dim)))
     else:
         row = rows[draw(st.integers(0, len(rows) - 1))]
         q = row.copy() if kind == "row" else nudged(row) if kind == "ulps" else np.zeros(dim)
-    return np.array(rows), frame_ids, q
+    return np.array(rows), q
 
 
 class TestScanEquivalence:
     """query_top1 / query_topk against a one-row-at-a-time brute-force scan,
-    compared with == on frame ids and distances."""
+    compared with == on rows and distances."""
 
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_index(), st.randoms(use_true_random=False))
     def test_matches_brute_force_scan(self, case, random):
-        matrix, frame_ids, q = case
-        embs = [GlobalEmbedding(r.copy(), VARIANT_VLAD) for r in matrix]
-        query = GlobalEmbedding(q.copy(), VARIANT_VLAD)
-        expected = scan_ranked(matrix, frame_ids, q)
-        index = build_index(frame_ids, embs)
-        assert query_top1(index, query) == expected[0]
-        for k in range(len(expected) + 2):
-            assert query_topk(index, query, k) == expected[:k]
-        perm = list(range(len(frame_ids)))
+        matrix, q = case
+        n = len(matrix)
+        expected = scan_ranked(matrix, range(n), q)
+        index = RetrievalIndex(matrix.copy())
+        assert query_top1(index, q.copy()) == expected[0]
+        for k in range(n + 2):
+            assert query_topk(index, q.copy(), k) == expected[:k]
+        perm = list(range(n))
         random.shuffle(perm)
-        shuffled = build_index([frame_ids[i] for i in perm], [embs[i] for i in perm])
-        assert query_topk(shuffled, query, len(expected)) == expected
+        shuffled = query_topk(RetrievalIndex(matrix[perm]), q.copy(), n)
+        assert shuffled == scan_ranked(matrix[perm], range(n), q)
+        assert sorted((perm[row], dist) for row, dist in shuffled) == sorted(expected)
 
     def test_full_width_rows(self, rng):
         """At the VLAD width (k = 256 words) a single-row einsum sums in other
@@ -397,14 +406,12 @@ class TestScanEquivalence:
         matrix[2] = matrix[4]
         matrix[5, 7] = np.nextafter(matrix[4, 7], np.inf)
         matrix[3] = 0.0
-        ids = [40, 11, 30, 12, 20, 5]
-        index = build_index(ids, [GlobalEmbedding(r.copy(), VARIANT_VLAD) for r in matrix])
+        index = RetrievalIndex(matrix.copy())
         for q in (matrix[4], matrix[5], matrix[0] + 1e-3 * matrix[1], np.zeros(dim)):
-            query = GlobalEmbedding(q.copy(), VARIANT_VLAD)
-            expected = scan_ranked(matrix, ids, q)
-            assert query_top1(index, query) == expected[0]
+            expected = scan_ranked(matrix, range(6), q)
+            assert query_top1(index, q.copy()) == expected[0]
             for k in range(1, 7):
-                assert query_topk(index, query, k) == expected[:k]
+                assert query_topk(index, q.copy(), k) == expected[:k]
 
 
 class TestFiles:
@@ -456,3 +463,16 @@ class TestFiles:
         assert len(errors) == len(bad)
         for i, error in errors:
             assert isinstance(error, VocabularyFormatError), (i, error)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_idf_rejected(self, rng, tmp_path, weight):
+        """One NaN weight makes every BoW row zero, so neither file that
+        stores a vocabulary may hold one."""
+        vocab = train_vocabulary([random_descriptors(rng, 20)], k=4, seed=3)
+        save_vocabulary(vocab, tmp_path / "v.bin")
+        data = bytearray((tmp_path / "v.bin").read_bytes())
+        at = 16 + 4 * 32 + 8 * 2  # the third idf weight
+        data[at : at + 8] = np.array(weight, dtype=">f8").tobytes()
+        (tmp_path / "v.bin").write_bytes(bytes(data))
+        with pytest.raises(VocabularyFormatError, match="v.bin: vocabulary idf weights are not finite"):
+            load_vocabulary(tmp_path / "v.bin")
