@@ -16,7 +16,7 @@ import struct
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,13 +190,20 @@ def _embed(
 def _index(frames: Sequence[DatabaseFrame], vocab: Vocabulary, variant: str) -> RetrievalIndex:
     """The retrieval index of database frames: row i embeds frame i's
     descriptors and words with the query's embedding code.  Building and
-    loading a database both make the index here; each frame's embedding is
-    written straight into its row, so the rows exist only once."""
-    dim = vocab.k * (DESCRIPTOR_BITS if variant == VARIANT_VLAD else 1)
-    matrix = np.zeros((len(frames), dim))
-    for i, f in enumerate(frames):
-        _embed(f.descriptors, vocab, variant, f.words, out=matrix[i])
-    return RetrievalIndex(matrix)
+    loading a database both make the index here.  Each frame is embedded
+    into one reused dense row, so the global norm rounds as it does for a
+    query.  An embedding leaves every entry outside its words' blocks at
+    +-0.0, so only those blocks are zeroed again for the next frame."""
+    per_word = DESCRIPTOR_BITS if variant == VARIANT_VLAD else 1
+    row = np.zeros(vocab.k * per_word)
+    blocks = row.reshape(vocab.k, per_word)
+
+    def rows() -> Iterator[np.ndarray]:
+        for f in frames:
+            yield _embed(f.descriptors, vocab, variant, f.words, out=row)
+            blocks[f.words] = 0.0
+
+    return RetrievalIndex(rows(), len(row))
 
 
 def _check_camera(frame: Frame, k: CameraIntrinsics) -> None:

@@ -361,6 +361,12 @@ def _gnc_start(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost) -> Pos
     scored as before, in draw order.  With dr the residual bound of
     _kabsch_stack, a truncated cost term min(r^2/eps^2, 1) moves by at most
     dr (2 eps + 3 dr) / eps^2 plus rounding: err bounds the cost gap.
+
+    A triple drawn again in the same order is fitted only the first time:
+    umeyama gives it the same pose and cost, which is never strictly lower
+    than the best cost once the first fit was scored.  With n = 3 to 6
+    points there are only 6 to 120 ordered triples, and on a wrong
+    retrieval every one of the 256 hypotheses ties and would be refitted.
     """
     pose = umeyama(q, d)
     best_cost = truncated_cost(_residuals(pose, q, d) ** 2)
@@ -371,7 +377,12 @@ def _gnc_start(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost) -> Pos
     lowest = np.min(np.where(fitted, cost + err, np.inf))
     rescore = undecided | (fitted & (cost - err <= lowest))
 
+    fitted_triples: set[tuple[int, ...]] = set()
     for h in np.flatnonzero(rescore):
+        triple = tuple(idx[h].tolist())
+        if triple in fitted_triples:
+            continue
+        fitted_triples.add(triple)
         try:
             cand = umeyama(q[idx[h]], d[idx[h]])
         except DegenerateConfigurationError:

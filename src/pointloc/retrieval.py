@@ -9,11 +9,12 @@ to the all-zero vector, which never wins retrieval unless nothing else exists.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from pointloc.binio import ExactReader
 from pointloc.features import DESCRIPTOR_BITS, DESCRIPTOR_BYTES, hamming_matrix
@@ -53,29 +54,61 @@ class Vocabulary:
     __hash__ = None
 
 
-@dataclass(frozen=True)
 class RetrievalIndex:
-    """One float64 embedding row per database frame: a frame's row number is
-    its id."""
+    """The embedding rows of the database frames, one per frame (a frame's
+    row number is its id), as compressed sparse rows: only the nonzero
+    entries are stored.  Intra-normalized VLAD leaves the block of every word
+    a frame does not use at exact zero, so most of a row is never stored.
 
-    matrix: np.ndarray  # (n, dim) float64
-    # Derived once from the matrix (never stored on disk): all-zero rows and
-    # squared row norms, the per-row half of the inner-product ranking.
-    zero_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    `matrix` holds the stored values (float64, row by row), `columns` their
+    int32 columns and `row_starts` where each row's values begin; `zero_rows`
+    (rows with no stored value) and `sq_norms` are derived from them.
+    """
 
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-        sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
-        zero_rows = sq_norms == 0.0
-        # tiny nonzero entries can square to 0: only those rows need a look
-        zero_rows[zero_rows] = ~np.any(self.matrix[zero_rows], axis=1)
-        for name, value in (("zero_rows", zero_rows), ("sq_norms", sq_norms)):
+    def __init__(self, rows: Iterable[np.ndarray], dim: int) -> None:
+        """Index the dense float64 rows of length dim.  Each row is read
+        before the next is drawn, so the rows may be one reused buffer."""
+        if dim >= 2**31:
+            raise ValueError(f"index dim {dim} does not fit 32-bit columns")
+        values, columns, starts, sq_norms = [np.zeros(0)], [np.zeros(0, np.intp)], [0], []
+        for row in rows:
+            # +-0.0 is left out: (+0.0 - q)^2 and (-0.0 - q)^2 have the same bits
+            cols = np.flatnonzero(row != 0.0)
+            stored = row[cols]
+            values.append(stored)
+            columns.append(cols)
+            starts.append(starts[-1] + len(cols))
+            sq_norms.append(stored @ stored)
+        self._csr = scipy.sparse.csr_array(
+            (
+                np.concatenate(values),
+                np.concatenate(columns, dtype=np.int32),
+                np.array(starts, dtype=np.int32),
+            ),
+            shape=(len(sq_norms), dim),
+        )
+        self.matrix = self._csr.data
+        self.columns = self._csr.indices
+        self.row_starts = self._csr.indptr
+        self.zero_rows = np.diff(self.row_starts) == 0
+        self.sq_norms = np.array(sq_norms, dtype=np.float64)
+        for value in (self.matrix, self.columns, self.row_starts, self.zero_rows, self.sq_norms):
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self._csr.shape[1]
 
     def __len__(self) -> int:
-        return len(self.matrix)
+        return self._csr.shape[0]
+
+    def dense_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """The given rows as a new C-order (len(rows), dim) float64 array."""
+        out = np.zeros((len(rows), self.dim))
+        for dense, r in zip(out, rows):
+            lo, hi = self.row_starts[r], self.row_starts[r + 1]
+            dense[self.columns[lo:hi]] = self.matrix[lo:hi]
+        return out
 
 
 def assign_words(descriptors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -249,8 +282,8 @@ def _ranked(index: RetrievalIndex, q: np.ndarray, k: int) -> tuple[np.ndarray, n
     """
     if len(index) == 0:
         raise EmptyIndexError("retrieval index is empty")
-    if len(q) != index.matrix.shape[1]:
-        raise ValueError(f"query dim {len(q)} does not match index dim {index.matrix.shape[1]}")
+    if len(q) != index.dim:
+        raise ValueError(f"query dim {len(q)} does not match index dim {index.dim}")
     k = min(max(0, k), len(index))
     if k == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
@@ -258,22 +291,24 @@ def _ranked(index: RetrievalIndex, q: np.ndarray, k: int) -> tuple[np.ndarray, n
         rows = np.argsort(index.zero_rows, kind="stable")[:k]
         return rows, np.full(k, ZERO_VECTOR_DISTANCE)
 
-    # One GEMV ranks every row by ||d||^2 - 2 d.q + ||q||^2; only rows that
-    # may be among the k best are then recomputed exactly.  With u = 2^-53,
-    # m = dim + 2 and R = max ||d|| + ||q||, the standard dot-product bound
-    # |fl(x.y) - x.y| <= gamma_m sum |x_i y_i|, gamma_m = m u / (1 - m u),
-    # holds for every summation order, hence for any BLAS blocking or thread
-    # count.  Summed over the three terms it puts the GEMV value within
-    # gamma_m R^2 of the true distance; the exact sum of squared differences
-    # is also within gamma_m R^2 of it, so the two differ by at most
-    # delta = 2 gamma_m R^2.  The k-th best exact distance is then at most
-    # (k-th best GEMV value) + delta, and every row at or below it has a GEMV
-    # value at most (k-th best GEMV value) + 2 delta: that is the margin.
-    # For unit rows at dim 65,536 gamma_m is 7.3e-12 and the margin 1.2e-10.
+    # One sparse mat-vec ranks every row by ||d||^2 - 2 d.q + ||q||^2; only
+    # rows that may be among the k best are then recomputed exactly.  With
+    # u = 2^-53, m = dim + 2 and R = max ||d|| + ||q||, the standard
+    # dot-product bound |fl(x.y) - x.y| <= gamma_m sum |x_i y_i|,
+    # gamma_m = m u / (1 - m u), holds for every summation order of at most m
+    # terms, so for the mat-vec and for sq_norms summed over the stored
+    # values as for a dense BLAS product.  Summed over the three terms it
+    # puts the ranking value within gamma_m R^2 of the true distance; the
+    # exact sum of squared differences is also within gamma_m R^2 of it, so
+    # the two differ by at most delta = 2 gamma_m R^2.  The k-th best exact
+    # distance is then at most (k-th best ranking value) + delta, and every
+    # row at or below it has a ranking value at most (k-th best ranking
+    # value) + 2 delta: that is the margin.  For unit rows at dim 65,536
+    # gamma_m is 7.3e-12 and the margin 1.2e-10.
     qq = float(q @ q)
-    approx = index.sq_norms - 2.0 * (index.matrix @ q) + qq
+    approx = index.sq_norms - 2.0 * (index._csr @ q) + qq
     approx[index.zero_rows] = np.inf
-    mu = (index.matrix.shape[1] + 2) * np.finfo(np.float64).eps / 2  # m u
+    mu = (index.dim + 2) * np.finfo(np.float64).eps / 2  # m u
     gamma = mu / (1.0 - mu)
     reach = float(np.sqrt(index.sq_norms.max())) + np.sqrt(qq)
     kth = np.partition(approx, k - 1)[k - 1]
@@ -281,10 +316,11 @@ def _ranked(index: RetrievalIndex, q: np.ndarray, k: int) -> tuple[np.ndarray, n
 
     zero = index.zero_rows[cand]
     dist = np.full(len(cand), ZERO_VECTOR_DISTANCE)
-    # A row sum over axis 1 gives each row the same bits whatever rows come
-    # with it (einsum does not: on a single 65,536-wide row it sums in
-    # buffered chunks), so top-1 and top-k report identical distances.
-    diff = index.matrix[cand[~zero]]  # a copy: square it in place
+    # The exact distance is taken over the dense row, whose unstored entries
+    # are +0.0.  A row sum over axis 1 gives each row the same bits whatever
+    # rows come with it (einsum does not: on a single 65,536-wide row it sums
+    # in buffered chunks), so top-1 and top-k report identical distances.
+    diff = index.dense_rows(cand[~zero])
     diff -= q
     diff *= diff
     dist[~zero] = diff.sum(axis=1)

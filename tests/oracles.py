@@ -381,3 +381,76 @@ def embed_vlad_per_word(descriptors, vocab):
     flat = blocks.ravel()
     norm = np.linalg.norm(flat)
     return flat / norm if norm > 0 else np.zeros(dim)
+
+
+def hamming_matrix_summed(a, b):
+    """features.hamming_matrix as it was before the per-column popcount:
+    XOR of the uint64 words, then a sum over the length-4 word axis."""
+    a = np.ascontiguousarray(a, dtype=np.uint8).view(np.uint64)
+    b = np.ascontiguousarray(b, dtype=np.uint8).view(np.uint64)
+    out = np.empty((len(a), len(b)), dtype=np.int32)
+    chunk = max(1, (1 << 20) // max(1, b.size))
+    for start in range(0, len(a), chunk):
+        stop = min(start + chunk, len(a))
+        xor = np.bitwise_xor(a[start:stop, None, :], b[None, :, :])
+        out[start:stop] = np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
+    return out
+
+
+class DenseRetrievalIndex:
+    """retrieval.RetrievalIndex as it was before compressed sparse rows: the
+    dense (n, dim) float64 matrix, its all-zero rows and squared row norms."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = np.array(matrix, dtype=np.float64)
+        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        self.zero_rows = self.sq_norms == 0.0
+        # tiny nonzero entries can square to 0: only those rows need a look
+        self.zero_rows[self.zero_rows] = ~np.any(self.matrix[self.zero_rows], axis=1)
+
+
+def dense_ranked(index: DenseRetrievalIndex, q: np.ndarray, k: int):
+    """retrieval._ranked over the dense matrix, verbatim but for the checks
+    on its input: one GEMV ranks every row, the rows inside the rounding
+    margin get their exact distances."""
+    from pointloc.retrieval import ZERO_VECTOR_DISTANCE
+
+    k = min(max(0, k), len(index.matrix))
+    if k == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    if not np.any(q):
+        rows = np.argsort(index.zero_rows, kind="stable")[:k]
+        return rows, np.full(k, ZERO_VECTOR_DISTANCE)
+    qq = float(q @ q)
+    approx = index.sq_norms - 2.0 * (index.matrix @ q) + qq
+    approx[index.zero_rows] = np.inf
+    mu = (index.matrix.shape[1] + 2) * np.finfo(np.float64).eps / 2
+    gamma = mu / (1.0 - mu)
+    reach = float(np.sqrt(index.sq_norms.max())) + np.sqrt(qq)
+    kth = np.partition(approx, k - 1)[k - 1]
+    cand = np.flatnonzero(~(approx > kth + 4.0 * gamma * reach * reach))
+    zero = index.zero_rows[cand]
+    dist = np.full(len(cand), ZERO_VECTOR_DISTANCE)
+    diff = index.matrix[cand[~zero]]
+    diff -= q
+    diff *= diff
+    dist[~zero] = diff.sum(axis=1)
+    order = np.lexsort((cand, dist, zero))[:k]
+    return cand[order], dist[order]
+
+
+def assert_same_as_dense(index, dense: DenseRetrievalIndex, q: np.ndarray, ks) -> None:
+    """query_top1 and query_topk (each k in ks) on the index give the rows
+    and distance bits of dense_ranked on the dense one.  A ranking's top k
+    is the first k of a longer one (each row's distance has the same bits
+    whatever rows come with it), so the dense side ranks once."""
+    from pointloc.retrieval import query_top1, query_topk
+
+    want_rows, want_dist = dense_ranked(dense, q, max(1, *ks))
+    row, dist = query_top1(index, q)
+    assert row == want_rows[0]
+    assert np.float64(dist).tobytes() == want_dist[0].tobytes()
+    for k in ks:
+        topk = query_topk(index, q, k)
+        assert [r for r, _ in topk] == want_rows[:k].tolist(), k
+        assert np.array([d for _, d in topk]).tobytes() == want_dist[:k].tobytes(), k

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import ray_box_z_depth
+from oracles import DenseRetrievalIndex, assert_same_as_dense, ray_box_z_depth
 
 import pointloc
 from pointloc.dataset import (
@@ -44,7 +44,10 @@ from pointloc.geometry import (
 )
 from pointloc.pipeline import (
     PipelineConfig,
+    _embed,
+    _index,
     build_database,
+    extract_frame_features,
     localize,
     train_vocabulary_for_dataset,
 )
@@ -54,7 +57,7 @@ from pointloc.registration import (
     ransac_register,
     umeyama,
 )
-from pointloc.retrieval import RetrievalIndex, query_top1, query_topk
+from pointloc.retrieval import RetrievalIndex, assign_words, query_top1, query_topk
 from pointloc.scene import camera_yaw
 
 SEED = 7
@@ -216,7 +219,7 @@ class TestCriterion3RetrievalCorrectness:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         vectors[10] = vectors[3]  # engineered duplicates force tie-breaking
         vectors[40] = vectors[3]
-        index = RetrievalIndex(vectors.copy())
+        index = RetrievalIndex(vectors, dim)
         for case in range(1000):
             if case % 5 == 0:
                 q = vectors[int(rng.integers(n_db))]  # exact ties with duplicates
@@ -234,7 +237,7 @@ class TestCriterion3RetrievalCorrectness:
     def test_self_retrieval_generated_scene(self, pipeline_state):
         db = pipeline_state["db"]
         for i in range(len(db.frames)):
-            row, dist = query_top1(db.index, db.index.matrix[i])
+            row, dist = query_top1(db.index, db.index.dense_rows([i])[0])
             assert row == i
             assert dist < 1e-9
         announce(
@@ -242,6 +245,27 @@ class TestCriterion3RetrievalCorrectness:
             f"1000 brute-force cases exact incl. ties; self-retrieval over "
             f"{len(db.frames)} database frames at < 1e-9",
         )
+
+    def test_sparse_index_ranks_as_dense_on_every_query(self, workspace, pipeline_state):
+        """Every query of the dataset, embedded for vlad and for bow, gets
+        the rows and distance bits of the dense index the sparse one
+        replaced."""
+        db, vocab = pipeline_state["db"], pipeline_state["vocab"]
+        indexes = {}
+        for variant in ("vlad", "bow"):
+            rows = [_embed(f.descriptors, vocab, variant, f.words) for f in db.frames]
+            indexes[variant] = (_index(db.frames, vocab, variant), DenseRetrievalIndex(np.stack(rows)))
+        assert db.variant == "vlad" and db.index.matrix.tobytes() == indexes["vlad"][0].matrix.tobytes()
+        queries = 0
+        for group in iter_point_groups(workspace["dir"]):
+            for query in group.query_frames:
+                _, desc = extract_frame_features(query, CONFIG)
+                words = assign_words(desc, vocab.centroids)
+                for variant, (index, dense) in indexes.items():
+                    q = _embed(desc, vocab, variant, words)
+                    assert_same_as_dense(index, dense, q, (3,))
+                queries += 1
+        assert queries == len(pipeline_state["full"])
 
 
 class TestCriterion4EndToEnd:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import describe_dense, detect_dense, fast_segment_test, hamming
+from oracles import describe_dense, detect_dense, fast_segment_test, hamming, hamming_matrix_summed
 
 from pointloc.features import (
     BORDER_MARGIN,
@@ -242,6 +242,26 @@ class TestHamming:
         for i in range(17):
             for j in range(23):
                 assert m[i, j] == hamming(a[i], b[j])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_a=st.sampled_from([0, 1, 2, 63, 64, 65, 200]),
+        n_b=st.sampled_from([0, 1, 3, 256, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+        near=st.booleans(),
+    )
+    def test_matches_summed_form(self, n_a, n_b, seed, near):
+        """Bit for bit the sum over the word axis, with empty sides and,
+        against 4,096 columns (a 64-row chunk), more rows than one chunk."""
+        rng = np.random.default_rng(seed)
+        b = rng.integers(0, 256, size=(n_b, 32), dtype=np.uint8)
+        if near and n_b:  # rows at small distances, equal ones included
+            a = b[rng.integers(0, n_b, n_a)] ^ (rng.random((n_a, 32)) < 0.05).astype(np.uint8)
+        else:
+            a = rng.integers(0, 256, size=(n_a, 32), dtype=np.uint8)
+        got = hamming_matrix(a, b)
+        expected = hamming_matrix_summed(a, b)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @settings(max_examples=50)
     @given(descriptor_arrays, descriptor_arrays, descriptor_arrays)

@@ -13,12 +13,13 @@ from oracles import lift_cloud_scalar, lift_matches_scalar
 
 from pointloc import pipeline
 from pointloc.dataset import GenerationParams, generate_scene_dataset
-from pointloc.features import Match
+from pointloc.features import DESCRIPTOR_BITS, Match
 from pointloc.geometry import CameraIntrinsics, Pose, compose, inverse, rotation_error, translation_error
 from pointloc.pipeline import (
     INVALID_DEPTH_MAX,
     DatabaseFormatError,
     DatabaseFrame,
+    LocalizationDatabase,
     LocalizationResult,
     PipelineConfig,
     StageTimings,
@@ -36,7 +37,7 @@ from pointloc.pipeline import (
     write_results,
 )
 from pointloc.render import Frame
-from pointloc.retrieval import EmptyIndexError
+from pointloc.retrieval import EmptyIndexError, Vocabulary, assign_words
 from pointloc.scene import SceneParams
 
 PARAMS = GenerationParams(
@@ -157,7 +158,8 @@ class TestBuildDatabase:
         cfg = PipelineConfig()
         a = build_database(dataset, vocab, cfg, PARAMS.intrinsics())
         b = build_database(dataset, vocab, cfg, PARAMS.intrinsics())
-        assert np.array_equal(a.index.matrix, b.index.matrix)
+        for name in ("matrix", "columns", "row_starts"):
+            assert np.array_equal(getattr(a.index, name), getattr(b.index, name)), name
 
     def test_empty_dataset_rejected(self, vocab):
         with pytest.raises(ValueError):
@@ -470,7 +472,8 @@ class TestDatabaseFile:
         assert loaded.vocabulary == db.vocabulary
         assert loaded.intrinsics == db.intrinsics
         # the rebuilt rows are the built ones, bit for bit
-        assert loaded.index.matrix.tobytes() == db.index.matrix.tobytes()
+        for name in ("matrix", "columns", "row_starts"):
+            assert getattr(loaded.index, name).tobytes() == getattr(db.index, name).tobytes(), name
         for a, b in zip(db.frames, loaded.frames):
             assert a.point_id == b.point_id
             assert a.pose == b.pose
@@ -478,6 +481,37 @@ class TestDatabaseFile:
             assert np.array_equal(a.descriptors, b.descriptors)
             assert a.keypoint_depth.tobytes() == b.keypoint_depth.tobytes()
             assert np.array_equal(a.words, b.words)
+
+    def test_loading_holds_no_dense_index(self, tmp_path):
+        """Loading a k = 256 vlad database never allocates the dense (n, dim)
+        float64 row matrix: numpy reports its allocations to tracemalloc,
+        and the peak stays far below that matrix's size."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        k, n = 256, 96
+        vocab = Vocabulary(k, rng.integers(0, 256, (k, 32), dtype=np.uint8), np.ones(k), 0)
+        intrinsics = PARAMS.intrinsics()
+        frames = []
+        for i in range(n):
+            desc = rng.integers(0, 256, (30, 32), dtype=np.uint8)
+            xy = rng.integers(0, 256, (30, 2)).astype(np.float64)
+            depth = rng.integers(1, 65000, 30) / 65535.0
+            words = assign_words(desc, vocab.centroids)
+            frames.append(DatabaseFrame(i, Pose.identity(), xy, desc, depth, words))
+        db = LocalizationDatabase(
+            tuple(frames), vocab, pipeline._index(frames, vocab, "vlad"), intrinsics, "vlad"
+        )
+        save_database(db, tmp_path / "db.bin")
+        dense_bytes = n * k * DESCRIPTOR_BITS * 8
+        tracemalloc.start()
+        try:
+            loaded = load_database(tmp_path / "db.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.index.matrix.nbytes < dense_bytes / 10
+        assert peak < dense_bytes / 4, (peak, dense_bytes)
 
     def test_frame_ids_are_record_positions(self, db, tmp_path):
         """Version 1 stored each frame's id and took it on trust: ids 1, 0,
@@ -638,4 +672,4 @@ class TestDatabaseFile:
         from pointloc.retrieval import RetrievalIndex, query_top1
 
         with pytest.raises(EmptyIndexError):
-            query_top1(RetrievalIndex(np.zeros((0, 4))), np.zeros(4))
+            query_top1(RetrievalIndex(np.zeros((0, 4)), 4), np.zeros(4))

@@ -392,6 +392,33 @@ class TestGncTls:
             assert got.mean_inlier_residual == want.mean_inlier_residual
         assert compared >= 40
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_start_fits_each_ordered_triple_once(self, n, monkeypatch):
+        """Unrelated points (a wrong retrieval): every start hypothesis ties,
+        yet each distinct ordered triple is fitted at most once, after the
+        all-point fit, and the pose is still the per-hypothesis loop's."""
+        rng = np.random.default_rng(500 + n)
+        q, d = make_cloud(rng, n), make_cloud(rng, n)
+        eps2 = 0.05**2
+
+        def truncated_cost(res2):
+            return float(np.minimum(res2 / eps2, 1.0).sum())
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return umeyama(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(registration, "umeyama", counted)
+            got = registration._gnc_start(q, d, eps2, truncated_cost)
+        assert len(calls) <= 1 + n * (n - 1) * (n - 2)
+        want = gnc_start_scalar(q, d, eps2, truncated_cost)
+        assert got.translation.tobytes() == want.translation.tobytes()
+        r, w = got.rotation, want.rotation
+        assert (r.w, r.x, r.y, r.z) == (w.w, w.x, w.y, w.z)
+
     def test_start_selection_at_degeneracy_threshold(self, monkeypatch):
         """n = 3 with the third point moved off the line just far enough that
         umeyama stops calling the triple collinear: every start hypothesis

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import embed_vlad_per_word, hamming, scan_ranked
+from oracles import DenseRetrievalIndex, assert_same_as_dense, embed_vlad_per_word, hamming, scan_ranked
 
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
@@ -47,7 +47,8 @@ def unit_embedding(rng, dim=16):
 
 
 def index_of(rows) -> RetrievalIndex:
-    return RetrievalIndex(np.array(rows, dtype=np.float64))
+    rows = np.array(rows, dtype=np.float64)
+    return RetrievalIndex(rows, rows.shape[1])
 
 
 class TestTrainVocabulary:
@@ -280,7 +281,7 @@ class TestQueries:
         assert len(query_topk(index, q, 100)) == 30
 
     def test_empty_index_raises(self, rng):
-        index = RetrievalIndex(np.zeros((0, 16)))
+        index = RetrievalIndex(np.zeros((0, 16)), 16)
         with pytest.raises(EmptyIndexError):
             query_top1(index, unit_embedding(rng))
 
@@ -296,11 +297,11 @@ class TestQueries:
         tied = [5, 17, 31]
         matrix[tied] = matrix[9]
         tied.append(9)
-        index = RetrievalIndex(matrix.copy())
+        index = index_of(matrix)
         assert query_top1(index, matrix[9]) == (5, 0.0)
         for _ in range(10):
             perm = rng.permutation(40)
-            shuffled = RetrievalIndex(matrix[perm])
+            shuffled = index_of(matrix[perm])
             for q in (unit_embedding(rng), matrix[9], matrix[perm[0]]):
                 row, dist = query_top1(index, q)
                 # rows of the permuted matrix holding the winning embedding
@@ -387,13 +388,13 @@ class TestScanEquivalence:
         matrix, q = case
         n = len(matrix)
         expected = scan_ranked(matrix, range(n), q)
-        index = RetrievalIndex(matrix.copy())
+        index = index_of(matrix)
         assert query_top1(index, q.copy()) == expected[0]
         for k in range(n + 2):
             assert query_topk(index, q.copy(), k) == expected[:k]
         perm = list(range(n))
         random.shuffle(perm)
-        shuffled = query_topk(RetrievalIndex(matrix[perm]), q.copy(), n)
+        shuffled = query_topk(index_of(matrix[perm]), q.copy(), n)
         assert shuffled == scan_ranked(matrix[perm], range(n), q)
         assert sorted((perm[row], dist) for row, dist in shuffled) == sorted(expected)
 
@@ -406,12 +407,107 @@ class TestScanEquivalence:
         matrix[2] = matrix[4]
         matrix[5, 7] = np.nextafter(matrix[4, 7], np.inf)
         matrix[3] = 0.0
-        index = RetrievalIndex(matrix.copy())
+        index = index_of(matrix)
         for q in (matrix[4], matrix[5], matrix[0] + 1e-3 * matrix[1], np.zeros(dim)):
             expected = scan_ranked(matrix, range(6), q)
             assert query_top1(index, q.copy()) == expected[0]
             for k in range(1, 7):
                 assert query_topk(index, q.copy(), k) == expected[:k]
+
+
+@st.composite
+def sparse_index_case(draw):
+    """Dense rows and a query for the sparse-against-dense check: mostly
+    zero rows of +-0.0, 1e-200 and ordinary entries (unit-normalized or
+    not), with duplicate, all-zero, all -0.0 and nudged copies, and queries
+    that are zero, -0.0, equal to a row, nudged or free."""
+    dim = draw(st.sampled_from([1, 2, 5, 16, 64, 300]))
+    entry = st.one_of(
+        st.sampled_from([0.0, 0.0, 0.0, -0.0, 1e-200, -1e-200]),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def row():
+        v = np.zeros(dim)
+        for c in draw(st.lists(st.integers(0, dim - 1), max_size=6)):
+            v[c] = draw(entry)
+        if draw(st.booleans()):  # a dense tail of ordinary values
+            v[rng.random(dim) < 0.3] = rng.uniform(-1.0, 1.0)
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0 and draw(st.booleans()) else v
+
+    def nudged(v):
+        """v moved by a few ulps in one stored entry (any entry if none)."""
+        v = v.copy()
+        c = draw(st.sampled_from(np.flatnonzero(v).tolist() or list(range(dim))))
+        toward = np.inf if draw(st.booleans()) else -np.inf
+        for _ in range(draw(st.integers(1, 3))):
+            v[c] = np.nextafter(v[c], toward)
+        return v
+
+    rows = [row() for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("duplicate", "ulps", "zero", "negzero", "fresh")))
+        base = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append(
+            {
+                "duplicate": lambda: base.copy(),
+                "ulps": lambda: nudged(base),
+                "zero": lambda: np.zeros(dim),
+                "negzero": lambda: np.full(dim, -0.0),
+                "fresh": row,
+            }[kind]()
+        )
+    kind = draw(st.sampled_from(("row", "ulps", "zero", "negzero", "free")))
+    row_q = rows[draw(st.integers(0, len(rows) - 1))]
+    q = {
+        "row": lambda: row_q.copy(),
+        "ulps": lambda: nudged(row_q),
+        "zero": lambda: np.zeros(dim),
+        "negzero": lambda: np.full(dim, -0.0),
+        "free": row,
+    }[kind]()
+    return np.array(rows), q
+
+
+class TestSparseIndex:
+    """The compressed sparse rows against the dense matrix they replaced
+    (oracles.DenseRetrievalIndex): identical rows and distance bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_index_case())
+    def test_matches_dense_index(self, case):
+        matrix, q = case
+        index = index_of(matrix)
+        assert_same_as_dense(index, DenseRetrievalIndex(matrix), q, range(len(matrix) + 2))
+        assert np.array_equal(index.dense_rows(range(len(matrix))), matrix)
+        assert np.array_equal(index.zero_rows, ~np.any(matrix, axis=1))
+
+    def test_stores_only_nonzero_entries(self):
+        matrix = np.array([[0.0, -0.0, 2.0, 1e-200], [-0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, -1.0]])
+        index = index_of(matrix)
+        assert index.matrix.tolist() == [2.0, 1e-200, 3.0, -1.0]
+        assert index.columns.dtype == np.int32 and index.columns.tolist() == [2, 3, 0, 3]
+        assert index.row_starts.tolist() == [0, 2, 2, 4]
+        assert index.zero_rows.tolist() == [False, True, False]
+        dense = index.dense_rows([2, 1])
+        assert dense.flags.c_contiguous and dense.tolist() == [matrix[2].tolist(), [0.0] * 4]
+        assert not np.signbit(index.dense_rows([1])).any()  # -0.0 comes back as +0.0
+
+    def test_rows_from_one_reused_buffer(self, rng):
+        """Each row is copied out before the next is drawn."""
+        matrix = np.where(rng.random((5, 12)) < 0.4, rng.normal(size=(5, 12)), 0.0)
+        buffer = np.zeros(12)
+
+        def rows():
+            for r in matrix:
+                buffer[:] = r
+                yield buffer
+
+        index = RetrievalIndex(rows(), 12)
+        assert np.array_equal(index.dense_rows(range(5)), matrix)
 
 
 class TestFiles:
