@@ -62,40 +62,101 @@ class Frame:
             raise ValueError("rasters must share dimensions")
 
 
+def _mix(state: np.ndarray, channel) -> np.ndarray:
+    """One SplitMix64-style round of `_hash01`, in place on `state`."""
+    state += channel
+    state += np.uint64(0x9E3779B97F4A7C15)
+    state ^= state >> np.uint64(30)
+    state *= np.uint64(0xBF58476D1CE4E5B9)
+    state ^= state >> np.uint64(27)
+    state *= np.uint64(0x94D049BB133111EB)
+    state ^= state >> np.uint64(31)
+    return state
+
+
+def _to01(state: np.ndarray) -> np.ndarray:
+    """The top 53 bits of hash states as floats in [0, 1)."""
+    out = (state >> np.uint64(11)).astype(np.float64)
+    out *= 2.0**-53
+    return out
+
+
 def _hash01(*channels: np.ndarray) -> np.ndarray:
-    """SplitMix64-style hash of integer arrays, mapped to [0, 1)."""
+    """SplitMix64-style hash of uint64 arrays, mapped to [0, 1)."""
     state = np.zeros(np.broadcast(*channels).shape, dtype=np.uint64)
     for c in channels:
-        state = state + c.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        state = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        state = (state ^ (state >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        state = state ^ (state >> np.uint64(31))
-    return (state >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        _mix(state, c)
+    return _to01(state)
 
 
 _RAY_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _camera_rays(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel ray directions (du, dv) in the camera frame; dz is 1."""
+    """Per-pixel ray directions (du, dv) in the camera frame, as (height, width)
+    rasters; dz is 1."""
     key = (k.fx, k.fy, k.cx, k.cy, k.width, k.height)
     rays = _RAY_CACHE.get(key)
     if rays is None:
         u = ((np.arange(k.width) - k.cx) / k.fx).astype(np.float32)
         v = ((np.arange(k.height) - k.cy) / k.fy).astype(np.float32)
-        uu, vv = np.meshgrid(u, v)
-        rays = (uu.ravel(), vv.ravel())
+        rays = np.meshgrid(u, v)
         for a in rays:
             a.setflags(write=False)
         _RAY_CACHE[key] = rays
     return rays
 
 
+NEAR_T = 1e-6  # a ray hits a box only where it enters beyond this z-depth
+FOOTPRINT_MARGIN = 2  # pixels added on each side of a box's projected footprint
+
+# corner c of a box takes the max corner on axis a when bit a of c is set;
+# an edge joins two corners that differ in one bit
+_CORNER_BITS = np.array([[(c >> a) & 1 for a in range(3)] for c in range(8)], dtype=bool)
+_EDGES = np.array([(c, c | 1 << a) for c in range(8) for a in range(3) if not (c >> a) & 1])
+
+
+def _footprints(lo: np.ndarray, hi: np.ndarray, rotation: np.ndarray, k: CameraIntrinsics):
+    """Half-open pixel windows (v0, v1, u0, u1), one per box, that hold every
+    pixel whose ray can hit the box; an empty window means none can.
+
+    lo and hi are the (n, 3) box corners relative to the camera centre, the
+    values the slab test uses.  The part of a box in front of the near plane
+    z = NEAR_T is a convex polytope whose vertices are the box corners on that
+    side and the crossings of the box edges with the plane; its projection
+    lies in the bounding rectangle of theirs.  A box that straddles the camera
+    plane thus gets its clipped footprint.  The float32 slab test strays from
+    the exact ray by a small multiple of float32 epsilon, far below the margin.
+    """
+    corners = np.where(_CORNER_BITS, hi[:, None, :], lo[:, None, :]) @ rotation
+    a, b = corners[:, _EDGES[:, 0]], corners[:, _EDGES[:, 1]]
+    crosses = (a[..., 2] < NEAR_T) != (b[..., 2] < NEAR_T)
+    s = np.divide(
+        NEAR_T - a[..., 2], b[..., 2] - a[..., 2], out=np.zeros(crosses.shape), where=crosses
+    )
+    vertices = np.concatenate([corners, a + s[..., None] * (b - a)], axis=1)
+    vertices[:, 8:, 2] = NEAR_T
+    keep = np.concatenate([corners[..., 2] >= NEAR_T, crosses], axis=1)
+    z = np.where(keep, vertices[..., 2], 1.0)
+    windows = []
+    for axis, f, c, size in ((1, k.fy, k.cy, k.height), (0, k.fx, k.cx, k.width)):
+        p = f * vertices[..., axis] / z + c
+        first = np.floor(np.where(keep, p, np.inf).min(axis=1)) - FOOTPRINT_MARGIN
+        last = np.ceil(np.where(keep, p, -np.inf).max(axis=1)) + FOOTPRINT_MARGIN
+        windows += [np.clip(first, 0, size), np.clip(last + 1, 0, size)]
+    return np.stack(windows, axis=1).astype(np.int64)
+
+
 def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics, depth_max: float = DEPTH_MAX) -> Frame:
-    """Raycast all scene boxes from the given camera-to-world pose."""
+    """Raycast all scene boxes from the given camera-to-world pose.
+
+    Each box's float32 slab test runs only inside its screen footprint
+    (`_footprints`).  Every operation is elementwise, so a pixel's values are
+    those of testing every box at every pixel.
+    """
     boxes = scene.all_boxes()
-    n_px = k.width * k.height
-    r = pose.rotation.rotation_matrix().astype(np.float32)
+    rotation = pose.rotation.rotation_matrix()
+    r = rotation.astype(np.float32)
     du, dv = _camera_rays(k)
     # world-space direction components, z-depth parameterization preserved
     d = [du * r[a, 0] + dv * r[a, 1] + r[a, 2] for a in range(3)]
@@ -109,53 +170,84 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics, depth_max: float 
             comp = np.where(tiny, np.where(comp < 0, -1e-12, 1e-12).astype(np.float32), comp)
         inv.append(np.float32(1.0) / comp)
 
-    best_t = np.full(n_px, np.inf, dtype=np.float32)
-    best_box = np.full(n_px, -1, dtype=np.int16)
-    best_axis = np.zeros(n_px, dtype=np.int8)
-    for i, b in enumerate(boxes):
-        lo = []
-        hi = []
+    # float32 box corners relative to the camera, as every pixel's test sees them
+    lo = np.array([b.min_corner for b in boxes], dtype=np.float32) - origin
+    hi = np.array([b.max_corner for b in boxes], dtype=np.float32) - origin
+    shape = (k.height, k.width)
+    best_t = np.full(shape, np.inf, dtype=np.float32)
+    best_box = np.full(shape, -1, dtype=np.int16)
+    best_axis = np.zeros(shape, dtype=np.int8)
+    for i, (v0, v1, u0, u1) in enumerate(_footprints(lo, hi, rotation, k)):
+        if v0 >= v1 or u0 >= u1:
+            continue
+        win = (slice(v0, v1), slice(u0, u1))
+        t_lo = []
+        t_hi = []
         for a in range(3):
-            t1 = inv[a] * np.float32(b.min_corner[a] - origin[a])
-            t2 = inv[a] * np.float32(b.max_corner[a] - origin[a])
-            lo.append(np.minimum(t1, t2))
-            hi.append(np.maximum(t1, t2))
-        t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
-        t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
-        hit = (t_enter <= t_exit) & (t_enter > np.float32(1e-6)) & (t_enter < best_t)
+            t1 = inv[a][win] * lo[i, a]
+            t2 = inv[a][win] * hi[i, a]
+            t_lo.append(np.minimum(t1, t2))
+            t_hi.append(np.maximum(t1, t2))
+        t_enter = np.maximum(np.maximum(t_lo[0], t_lo[1]), t_lo[2])
+        t_exit = np.minimum(np.minimum(t_hi[0], t_hi[1]), t_hi[2])
+        win_t = best_t[win]
+        hit = (t_enter <= t_exit) & (t_enter > np.float32(NEAR_T)) & (t_enter < win_t)
         if not hit.any():
             continue
-        axis = np.where(t_enter == lo[0], 0, np.where(t_enter == lo[1], 1, 2)).astype(np.int8)
-        best_t[hit] = t_enter[hit]
-        best_box[hit] = i
-        best_axis[hit] = axis[hit]
+        t_hit = t_enter[hit]
+        win_t[hit] = t_hit
+        best_box[win][hit] = i
+        best_axis[win][hit] = np.where(
+            t_hit == t_lo[0][hit], 0, np.where(t_hit == t_lo[1][hit], 1, 2)
+        )
 
     hit_mask = best_box >= 0
-    depth = np.ones(n_px)
-    depth[hit_mask] = np.minimum(best_t[hit_mask].astype(np.float64) / depth_max, 1.0)
-    depth = np.round(depth * DEPTH_LEVELS) / DEPTH_LEVELS
+    depth = np.ones(shape)
+    np.divide(best_t, depth_max, out=depth, where=hit_mask, dtype=np.float64)
+    np.minimum(depth, 1.0, out=depth)
+    depth *= DEPTH_LEVELS
+    np.round(depth, out=depth)
+    depth /= DEPTH_LEVELS
 
-    instances = np.zeros(n_px, dtype=np.uint16)
-    rgb = np.empty((n_px, 3), dtype=np.uint8)
+    instances = np.zeros(shape, dtype=np.uint16)
+    rgb = np.empty((*shape, 3), dtype=np.uint8)
     rgb[:] = BACKGROUND_RGB
 
     if hit_mask.any():
-        idx = np.nonzero(hit_mask)[0]
-        t = best_t[idx]
-        box_idx = best_box[idx].astype(np.int64)
-        axis = best_axis[idx].astype(np.int64)
+        # 1-D takes: numpy gathers and scatters rows of a 2-D array far slower
+        idx = np.flatnonzero(hit_mask)
+        t = best_t.take(idx)
+        box_idx = best_box.take(idx).astype(np.intp)
+        axis = best_axis.take(idx).astype(np.intp)
 
         ids = np.array([b.instance_id for b in boxes], dtype=np.uint16)
         albedos = np.array([b.albedo for b in boxes], dtype=np.float64)
-        instances[idx] = ids[box_idx]
+        box_id = ids.take(box_idx)
+        np.put(instances, idx, box_id)
 
-        px = origin[0] + t * d[0][idx]
-        py = origin[1] + t * d[1][idx]
-        pz = origin[2] + t * d[2][idx]
+        d_hit = np.stack(d).reshape(3, -1).take(idx, axis=1)
+        px = origin[0] + t * d_hit[0]
+        py = origin[1] + t * d_hit[1]
+        pz = origin[2] + t * d_hit[2]
 
-        # face normal opposes the ray along the entry axis
-        d_axis = np.choose(axis, (d[0][idx], d[1][idx], d[2][idx]))
-        n_sign = np.where(d_axis > 0, -1.0, 1.0)
+        # face f = 2 * axis + (normal sign > 0); the normal opposes the ray
+        # along the entry axis
+        d_axis = d_hit.take(axis * len(idx) + np.arange(len(idx)))
+        face = axis * 2 + ~(d_axis > 0)
+        face_code = face.astype(np.uint64)
+        box_code = box_id.astype(np.uint64)
+
+        # the texture cell size and the Lambert shade depend on (box, face) only
+        faces = np.arange(6)
+        cell_sizes = np.asarray(TEXTURE_CELLS)
+        cell_table = cell_sizes[
+            (
+                _hash01(faces.astype(np.uint64) + np.uint64(7), ids.astype(np.uint64)[:, None])
+                * len(cell_sizes)
+            ).astype(np.intp)
+        ]
+        lambert = -(np.where(faces % 2 == 1, 1.0, -1.0) * _LIGHT_DIR[faces // 2])
+        shade_table = AMBIENT + DIFFUSE * np.maximum(0.0, lambert)  # n . (-light)
 
         # two-scale blocky value noise in the two in-face coordinates.  The
         # fine layer makes corner features; its cell size is face-specific and
@@ -164,33 +256,40 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics, depth_max: float 
         # signature that gives whole views a retrievable identity.
         cu = np.where(axis == 0, py, px)
         cv = np.where(axis == 2, py, pz)
-        face_code = (axis * 2 + (n_sign > 0)).astype(np.uint64)
-        box_code = ids[box_idx].astype(np.uint64)
-        cell_sizes = np.asarray(TEXTURE_CELLS)
-        cell = cell_sizes[
-            (_hash01(face_code + np.uint64(7), box_code) * len(cell_sizes)).astype(np.int64)
-        ]
-        cell_u = np.floor(cu / cell).astype(np.int64).astype(np.uint64)
-        cell_v = np.floor(cv / cell).astype(np.int64).astype(np.uint64)
-        coarse_u = np.floor(cu / TEXTURE_COARSE_CELL).astype(np.int64).astype(np.uint64)
-        coarse_v = np.floor(cv / TEXTURE_COARSE_CELL).astype(np.int64).astype(np.uint64)
-        contrast = 0.4 + 0.6 * _hash01(coarse_u, coarse_v, face_code + np.uint64(53), box_code)
-        fine = _hash01(cell_u, cell_v, face_code, box_code) - 0.5
-        tex = TEXTURE_MIN + TEXTURE_SPAN * (0.5 + contrast * fine)
-        tex *= TEXTURE_COARSE_MIN + TEXTURE_COARSE_SPAN * _hash01(
-            coarse_u, coarse_v, face_code + np.uint64(101), box_code
-        )
+        cell = cell_table.take(box_idx * 6 + face)
+        cell_u = np.floor(cu / cell).astype(np.int64).view(np.uint64)
+        cell_v = np.floor(cv / cell).astype(np.int64).view(np.uint64)
+        coarse_u = np.floor(cu / TEXTURE_COARSE_CELL).astype(np.int64).view(np.uint64)
+        coarse_v = np.floor(cv / TEXTURE_COARSE_CELL).astype(np.int64).view(np.uint64)
+        # both coarse hashes start with the same two channel rounds
+        coarse = _mix(_mix(np.zeros(len(idx), dtype=np.uint64), coarse_u), coarse_v)
+        contrast = _to01(_mix(_mix(coarse.copy(), face_code + np.uint64(53)), box_code))
+        contrast *= 0.6
+        contrast += 0.4
+        tex = _hash01(cell_u, cell_v, face_code, box_code)
+        tex -= 0.5
+        tex *= contrast
+        tex += 0.5
+        tex *= TEXTURE_SPAN
+        tex += TEXTURE_MIN
+        bright = _to01(_mix(_mix(coarse, face_code + np.uint64(101)), box_code))
+        bright *= TEXTURE_COARSE_SPAN
+        bright += TEXTURE_COARSE_MIN
+        tex *= bright
+        tex *= shade_table.take(face)
 
-        lambert = -(n_sign * _LIGHT_DIR[axis])  # n . (-light)
-        shade = AMBIENT + DIFFUSE * np.maximum(0.0, lambert)
-
-        color = albedos[box_idx] * (tex * shade)[:, None] * 255.0
-        rgb[idx] = np.clip(np.round(color), 0, 255).astype(np.uint8)
+        color = albedos.take(box_idx, axis=0)
+        color *= tex[:, None]
+        color *= 255.0
+        np.round(color, out=color)
+        np.clip(color, 0, 255, out=color)
+        # one 3-byte pixel per index
+        np.put(rgb.view("V3"), idx, color.astype(np.uint8).view("V3"))
 
     return Frame(
-        rgb=rgb.reshape(k.height, k.width, 3),
-        depth=depth.reshape(k.height, k.width),
-        instances=instances.reshape(k.height, k.width),
+        rgb=rgb,
+        depth=depth,
+        instances=instances,
         pose=pose,
         point_id=-1,
         frame_id=-1,

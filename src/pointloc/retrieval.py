@@ -265,10 +265,11 @@ def embed_vlad(
         sums /= norms
         values.reshape(k, DESCRIPTOR_BITS)[used] = sums  # words without members stay 0
         # The global norm is taken over the whole row: a sum over the used
-        # blocks alone could group, and so round, differently.
+        # blocks alone could group, and so round, differently.  Only the used
+        # blocks are divided; the others hold 0, and 0 / norm is +0.0.
         norm = np.linalg.norm(values)
         if norm > 0:
-            values /= norm
+            values.reshape(k, DESCRIPTOR_BITS)[used] /= norm
     return values
 
 

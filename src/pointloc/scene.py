@@ -239,9 +239,13 @@ def camera_yaw(pose: Pose) -> float:
 # --- scene text serialization -------------------------------------------------
 
 
+_SCENE_FORMAT = "pointloc-scene-v1"
+_SCENE_KEYS = ("format", "seed", "floor_extent", "wall_height", "wall_thickness")
+
+
 def scene_to_text(scene: SceneModel) -> str:
     lines = [
-        "format = pointloc-scene-v1",
+        f"format = {_SCENE_FORMAT}",
         f"seed = {scene.seed}",
         "floor_extent = " + " ".join(f"{v:.17g}" for v in scene.floor_extent),
         f"wall_height = {scene.wall_height:.17g}",
@@ -254,38 +258,72 @@ def scene_to_text(scene: SceneModel) -> str:
 
 
 def scene_from_text(text: str) -> SceneModel:
-    seed = 0
-    extent = None
-    wall_height = None
-    wall_thickness = 0.3
+    """Parse what scene_to_text writes.  Blank lines aside, every line is a
+    known `key = value`: each of _SCENE_KEYS exactly once, and any number of
+    `box` lines of 11 fields with unique obstacle ids.  Numbers must be finite,
+    the extent and the heights nonempty.  Anything else raises ValueError
+    naming the line."""
+    values: dict[str, object] = {}
     boxes: list[Box] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or "=" not in line:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
             continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "seed":
-            seed = int(value)
-        elif key == "floor_extent":
-            extent = tuple(float(v) for v in value.split())
-        elif key == "wall_height":
-            wall_height = float(value)
-        elif key == "wall_thickness":
-            wall_thickness = float(value)
-        elif key == "box":
-            f = value.split()
-            boxes.append(
-                Box(
-                    tuple(float(v) for v in f[2:5]),
-                    tuple(float(v) for v in f[5:8]),
-                    int(f[0]),
-                    int(f[1]),
-                    tuple(float(v) for v in f[8:11]),
-                )
-            )
-    if extent is None or wall_height is None:
-        raise ValueError("scene text missing floor_extent or wall_height")
-    return SceneModel(seed, extent, tuple(boxes), wall_height, wall_thickness)
+        key, eq, value = (part.strip() for part in raw.partition("="))
+        try:
+            if not eq or key not in (*_SCENE_KEYS, "box"):
+                raise ValueError("not a known 'key = value' line")
+            if key == "box":
+                boxes.append(_box_from_fields(value.split(), boxes))
+                continue
+            if key in values:
+                raise ValueError(f"duplicate key {key!r}")
+            if key == "format":
+                if value != _SCENE_FORMAT:
+                    raise ValueError(f"unknown format {value!r}")
+                values[key] = value
+            elif key == "seed":
+                values[key] = int(value)
+            elif key == "floor_extent":
+                x0, x1, y0, y1 = _finite_numbers(value.split(), 4)
+                if not (x0 < x1 and y0 < y1):
+                    raise ValueError("empty floor extent")
+                values[key] = (x0, x1, y0, y1)
+            else:
+                (values[key],) = _finite_numbers(value.split(), 1)
+                if values[key] <= 0:
+                    raise ValueError(f"{key} must be positive")
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}: {raw!r}") from None
+    missing = [key for key in _SCENE_KEYS if key not in values]
+    if missing:
+        raise ValueError(f"scene text missing {', '.join(missing)}")
+    return SceneModel(
+        values["seed"],
+        values["floor_extent"],
+        tuple(boxes),
+        values["wall_height"],
+        values["wall_thickness"],
+    )
+
+
+def _finite_numbers(fields: list[str], count: int) -> tuple[float, ...]:
+    if len(fields) != count:
+        raise ValueError(f"expected {count} numbers, got {len(fields)}")
+    numbers = tuple(float(f) for f in fields)
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValueError("number not finite")
+    return numbers
+
+
+def _box_from_fields(fields: list[str], earlier: list[Box]) -> Box:
+    """An obstacle from `instance category min_xyz max_xyz albedo_rgb`."""
+    if len(fields) != 11:
+        raise ValueError(f"expected 11 box fields, got {len(fields)}")
+    instance, category = int(fields[0]), int(fields[1])
+    if instance < FIRST_OBSTACLE_ID or any(b.instance_id == instance for b in earlier):
+        raise ValueError(f"obstacle id {instance} is reserved or repeated")
+    v = _finite_numbers(fields[2:], 9)
+    return Box(v[0:3], v[3:6], instance, category, v[6:9])
 
 
 def _fmt(v) -> str:

@@ -454,3 +454,155 @@ def assert_same_as_dense(index, dense: DenseRetrievalIndex, q: np.ndarray, ks) -
         topk = query_topk(index, q, k)
         assert [r for r, _ in topk] == want_rows[:k].tolist(), k
         assert np.array([d for _, d in topk]).tobytes() == want_dist[:k].tobytes(), k
+
+
+def _hash01_full(*channels: np.ndarray) -> np.ndarray:
+    """The renderer's SplitMix64-style hash as first written, out of place."""
+    state = np.zeros(np.broadcast(*channels).shape, dtype=np.uint64)
+    for c in channels:
+        state = state + c.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        state = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        state = (state ^ (state >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        state = state ^ (state >> np.uint64(31))
+    return (state >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+
+
+def render_full_raster(scene, pose, k, depth_max: float = 10.0):
+    """The renderer as first written: every box's slab test over every pixel,
+    shading recomputed per pixel.  Returns (rgb, depth, instances) rasters."""
+    from pointloc.render import (
+        AMBIENT,
+        BACKGROUND_RGB,
+        DEPTH_LEVELS,
+        DIFFUSE,
+        TEXTURE_CELLS,
+        TEXTURE_COARSE_CELL,
+        TEXTURE_COARSE_MIN,
+        TEXTURE_COARSE_SPAN,
+        TEXTURE_MIN,
+        TEXTURE_SPAN,
+        _LIGHT_DIR,
+    )
+
+    _hash01 = _hash01_full
+    boxes = scene.all_boxes()
+    n_px = k.width * k.height
+    r = pose.rotation.rotation_matrix().astype(np.float32)
+    u = ((np.arange(k.width) - k.cx) / k.fx).astype(np.float32)
+    v = ((np.arange(k.height) - k.cy) / k.fy).astype(np.float32)
+    uu, vv = np.meshgrid(u, v)
+    du, dv = uu.ravel(), vv.ravel()
+    # world-space direction components, z-depth parameterization preserved
+    d = [du * r[a, 0] + dv * r[a, 1] + r[a, 2] for a in range(3)]
+    origin = pose.translation.astype(np.float32)
+
+    inv = []
+    for a in range(3):
+        comp = d[a]
+        tiny = np.abs(comp) < 1e-12
+        if tiny.any():
+            comp = np.where(tiny, np.where(comp < 0, -1e-12, 1e-12).astype(np.float32), comp)
+        inv.append(np.float32(1.0) / comp)
+
+    best_t = np.full(n_px, np.inf, dtype=np.float32)
+    best_box = np.full(n_px, -1, dtype=np.int16)
+    best_axis = np.zeros(n_px, dtype=np.int8)
+    for i, b in enumerate(boxes):
+        lo = []
+        hi = []
+        for a in range(3):
+            t1 = inv[a] * np.float32(b.min_corner[a] - origin[a])
+            t2 = inv[a] * np.float32(b.max_corner[a] - origin[a])
+            lo.append(np.minimum(t1, t2))
+            hi.append(np.maximum(t1, t2))
+        t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+        t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
+        hit = (t_enter <= t_exit) & (t_enter > np.float32(1e-6)) & (t_enter < best_t)
+        if not hit.any():
+            continue
+        axis = np.where(t_enter == lo[0], 0, np.where(t_enter == lo[1], 1, 2)).astype(np.int8)
+        best_t[hit] = t_enter[hit]
+        best_box[hit] = i
+        best_axis[hit] = axis[hit]
+
+    hit_mask = best_box >= 0
+    depth = np.ones(n_px)
+    depth[hit_mask] = np.minimum(best_t[hit_mask].astype(np.float64) / depth_max, 1.0)
+    depth = np.round(depth * DEPTH_LEVELS) / DEPTH_LEVELS
+
+    instances = np.zeros(n_px, dtype=np.uint16)
+    rgb = np.empty((n_px, 3), dtype=np.uint8)
+    rgb[:] = BACKGROUND_RGB
+
+    if hit_mask.any():
+        idx = np.nonzero(hit_mask)[0]
+        t = best_t[idx]
+        box_idx = best_box[idx].astype(np.int64)
+        axis = best_axis[idx].astype(np.int64)
+
+        ids = np.array([b.instance_id for b in boxes], dtype=np.uint16)
+        albedos = np.array([b.albedo for b in boxes], dtype=np.float64)
+        instances[idx] = ids[box_idx]
+
+        px = origin[0] + t * d[0][idx]
+        py = origin[1] + t * d[1][idx]
+        pz = origin[2] + t * d[2][idx]
+
+        # face normal opposes the ray along the entry axis
+        d_axis = np.choose(axis, (d[0][idx], d[1][idx], d[2][idx]))
+        n_sign = np.where(d_axis > 0, -1.0, 1.0)
+
+        cu = np.where(axis == 0, py, px)
+        cv = np.where(axis == 2, py, pz)
+        face_code = (axis * 2 + (n_sign > 0)).astype(np.uint64)
+        box_code = ids[box_idx].astype(np.uint64)
+        cell_sizes = np.asarray(TEXTURE_CELLS)
+        cell = cell_sizes[
+            (_hash01(face_code + np.uint64(7), box_code) * len(cell_sizes)).astype(np.int64)
+        ]
+        cell_u = np.floor(cu / cell).astype(np.int64).astype(np.uint64)
+        cell_v = np.floor(cv / cell).astype(np.int64).astype(np.uint64)
+        coarse_u = np.floor(cu / TEXTURE_COARSE_CELL).astype(np.int64).astype(np.uint64)
+        coarse_v = np.floor(cv / TEXTURE_COARSE_CELL).astype(np.int64).astype(np.uint64)
+        contrast = 0.4 + 0.6 * _hash01(coarse_u, coarse_v, face_code + np.uint64(53), box_code)
+        fine = _hash01(cell_u, cell_v, face_code, box_code) - 0.5
+        tex = TEXTURE_MIN + TEXTURE_SPAN * (0.5 + contrast * fine)
+        tex *= TEXTURE_COARSE_MIN + TEXTURE_COARSE_SPAN * _hash01(
+            coarse_u, coarse_v, face_code + np.uint64(101), box_code
+        )
+
+        lambert = -(n_sign * _LIGHT_DIR[axis])  # n . (-light)
+        shade = AMBIENT + DIFFUSE * np.maximum(0.0, lambert)
+
+        color = albedos[box_idx] * (tex * shade)[:, None] * 255.0
+        rgb[idx] = np.clip(np.round(color), 0, 255).astype(np.uint8)
+
+    return (
+        rgb.reshape(k.height, k.width, 3),
+        depth.reshape(k.height, k.width),
+        instances.reshape(k.height, k.width),
+    )
+
+
+def box_hits_full_raster(box, pose, k) -> np.ndarray:
+    """(height, width) mask of the pixels whose float32 slab test, in the
+    expressions of `render_full_raster`, hits `box` beyond z-depth 1e-6."""
+    r = pose.rotation.rotation_matrix().astype(np.float32)
+    u = ((np.arange(k.width) - k.cx) / k.fx).astype(np.float32)
+    v = ((np.arange(k.height) - k.cy) / k.fy).astype(np.float32)
+    du, dv = np.meshgrid(u, v)
+    origin = pose.translation.astype(np.float32)
+    lo, hi = [], []
+    for a in range(3):
+        comp = du * r[a, 0] + dv * r[a, 1] + r[a, 2]
+        tiny = np.abs(comp) < 1e-12
+        if tiny.any():
+            comp = np.where(tiny, np.where(comp < 0, -1e-12, 1e-12).astype(np.float32), comp)
+        inv = np.float32(1.0) / comp
+        t1 = inv * np.float32(box.min_corner[a] - origin[a])
+        t2 = inv * np.float32(box.max_corner[a] - origin[a])
+        lo.append(np.minimum(t1, t2))
+        hi.append(np.maximum(t1, t2))
+    t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+    t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
+    return (t_enter <= t_exit) & (t_enter > np.float32(1e-6))

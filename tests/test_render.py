@@ -2,12 +2,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ray_box_z_depth
+from conftest import quaternions
+from oracles import box_hits_full_raster, ray_box_z_depth, render_full_raster
 
-from pointloc.geometry import intrinsics_from_fov
-from pointloc.render import DEPTH_LEVELS, add_rgb_noise, render
-from pointloc.scene import Box, SceneModel, camera_pose, generate_scene
+from pointloc import dataset
+from pointloc.geometry import Pose, intrinsics_from_fov
+from pointloc.render import DEPTH_LEVELS, _footprints, add_rgb_noise, render
+from pointloc.scene import (
+    Box,
+    SceneModel,
+    SceneParams,
+    camera_pose,
+    generate_point_grid,
+    generate_scene,
+)
 
 K64 = intrinsics_from_fov(90.0, 64, 64)
 QUANT = 0.5 / DEPTH_LEVELS  # half a 16-bit quantization step, normalized units
@@ -97,6 +108,89 @@ class TestRenderOracle:
         cv, cu = int(K64.cy), int(K64.cx)
         assert frame.depth[cv, cu] == 1.0
         assert frame.instances[cv, cu] == 7
+
+
+ROOM = generate_scene(2)
+
+
+@st.composite
+def render_cases(draw):
+    """(pose, intrinsics) in ROOM: any rotation; the camera anywhere in or
+    around the room, inside a box, on one of a box's face planes, or within
+    1 mm of a box corner; 30-150 degree FOV; small sizes of either parity
+    (odd ones put a zero ray component on the centre column or row)."""
+    boxes = ROOM.all_boxes()
+    box = boxes[draw(st.integers(0, len(boxes) - 1))]
+    lo, hi = np.array(box.min_corner), np.array(box.max_corner)
+    unit = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    where = draw(st.sampled_from(["room", "inside", "face", "corner"]))
+    if where == "room":
+        pos = np.array([-1.0, -1.0, -0.5]) + np.array([14.0, 14.0, 4.0]) * unit
+    elif where == "inside":
+        pos = lo + (hi - lo) * unit
+    elif where == "face":
+        pos = lo + (hi - lo) * unit
+        a = draw(st.integers(0, 2))
+        pos[a] = draw(st.sampled_from([lo[a], hi[a]]))
+    else:
+        corner = np.where([draw(st.booleans()) for _ in range(3)], hi, lo)
+        pos = corner + [draw(st.floats(-1e-3, 1e-3)) for _ in range(3)]
+    k = intrinsics_from_fov(
+        draw(st.floats(30.0, 150.0)), draw(st.integers(1, 33)), draw(st.integers(1, 33))
+    )
+    return Pose(draw(quaternions()), pos), k
+
+
+def assert_same_frame(frame, expected):
+    for got, want in zip((frame.rgb, frame.depth, frame.instances), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestCulledRender:
+    """The culled renderer against the full-raster one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(render_cases())
+    def test_bit_identical_to_full_raster(self, case):
+        pose, k = case
+        assert_same_frame(render(ROOM, pose, k), render_full_raster(ROOM, pose, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(render_cases())
+    def test_footprint_holds_every_hit(self, case):
+        """Each box alone: every pixel the full-raster slab test hits lies in
+        the box's culled window."""
+        pose, k = case
+        boxes = ROOM.all_boxes()
+        origin = pose.translation.astype(np.float32)
+        lo = np.array([b.min_corner for b in boxes], dtype=np.float32) - origin
+        hi = np.array([b.max_corner for b in boxes], dtype=np.float32) - origin
+        windows = _footprints(lo, hi, pose.rotation.rotation_matrix(), k)
+        for box, (v0, v1, u0, u1) in zip(boxes, windows):
+            hits = box_hits_full_raster(box, pose, k)
+            inside = np.zeros_like(hits)
+            inside[v0:v1, u0:u1] = True
+            assert not (hits & ~inside).any(), box
+
+    def test_perfbench_room_frames(self, monkeypatch):
+        """Every frame of two Points of the seed-7 10 x 10 m room at 256 x 256."""
+        params = dataset.GenerationParams(
+            queries_per_point=13, scene=SceneParams(floor_width=10.0, floor_depth=10.0)
+        )
+        room = generate_scene(7, params.scene)
+        calls = []
+
+        def recording_render(*args):
+            calls.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(dataset, "render", recording_render)
+        for point in generate_point_grid(room, params.grid_spacing, params.camera_height)[:2]:
+            dataset.generate_point_frames(room, point, params, 7)
+        assert len(calls) == 2 * (6 + 13)
+        for args in calls:
+            assert_same_frame(render(*args), render_full_raster(*args))
 
 
 class TestRgbNoise:

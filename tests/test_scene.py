@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pointloc.dataset import DatasetFormatError, load_scene_model
 from pointloc.geometry import transform_point
 from pointloc.scene import (
     Box,
@@ -150,3 +151,36 @@ class TestSceneText:
     def test_missing_extent_rejected(self):
         with pytest.raises(ValueError):
             scene_from_text("seed = 1\n")
+
+    @staticmethod
+    def assert_line_rejected(edit, lineno):
+        """scene_from_text rejects the seed-11 scene text after `edit`, naming
+        the line."""
+        lines = scene_to_text(generate_scene(11)).splitlines()
+        text = "\n".join(edit(lines)) + "\n"
+        with pytest.raises(ValueError, match=f"^line {lineno}: "):
+            scene_from_text(text)
+
+    def test_box_with_12_fields_rejected(self):
+        self.assert_line_rejected(lambda ls: ls[:5] + [ls[5] + " 0.5"] + ls[6:], 6)
+
+    def test_nan_wall_height_rejected(self):
+        self.assert_line_rejected(lambda ls: ls[:3] + ["wall_height = nan"] + ls[4:], 4)
+
+    def test_three_value_floor_extent_rejected(self):
+        self.assert_line_rejected(lambda ls: ls[:2] + ["floor_extent = 0 12 0"] + ls[3:], 3)
+
+    def test_duplicate_wall_height_rejected(self):
+        self.assert_line_rejected(lambda ls: ls[:4] + ["wall_height = 3"] + ls[4:], 5)
+
+    def test_unknown_key_rejected(self):
+        n_lines = 5 + len(generate_scene(11).obstacles)
+        self.assert_line_rejected(lambda ls: ls + ["colour = red"], n_lines + 1)
+
+    def test_line_without_equals_rejected(self):
+        self.assert_line_rejected(lambda ls: ls[:1] + ["seed 11"] + ls[2:], 2)
+
+    def test_corrupt_scene_file_is_dataset_format_error(self, tmp_path):
+        (tmp_path / "scene.txt").write_text("format = pointloc-scene-v1\nwall_height = nan\n")
+        with pytest.raises(DatasetFormatError, match="line 2"):
+            load_scene_model(tmp_path)
