@@ -36,7 +36,7 @@ from pointloc.geometry import (
     pose_from_text,
     pose_to_text,
 )
-from pointloc.render import DEPTH_LEVELS, Frame, add_rgb_noise, render
+from pointloc.render import DEPTH_MAX, Frame, add_rgb_noise, render
 from pointloc.scene import (
     GridPoint,
     SceneModel,
@@ -72,7 +72,6 @@ class GenerationParams:
     fov_deg: float = 90.0
     resolution: int = 256
     camera_height: float = 1.25
-    depth_max: float = 10.0
     scene: SceneParams = field(default_factory=SceneParams)
 
     def intrinsics(self) -> CameraIntrinsics:
@@ -140,7 +139,7 @@ def generate_point_frames(
     db_frames = []
     for i in range(DB_FRAMES_PER_POINT):
         yaw = base_yaw + math.radians(YAW_STEP_DEG) * i
-        frame = render(scene, camera_pose(center, yaw), k, params.depth_max)
+        frame = render(scene, camera_pose(center, yaw), k)
         frame = replace(frame, point_id=point.point_id, frame_id=i, is_database=True)
         frame = add_rgb_noise(
             frame,
@@ -159,7 +158,7 @@ def generate_point_frames(
         pos = center + np.array([dx, dy, 0.0])
         if not scene.is_free(pos):
             continue  # discarded, not resampled
-        frame = render(scene, camera_pose(pos, yaw), k, params.depth_max)
+        frame = render(scene, camera_pose(pos, yaw), k)
         frame = replace(frame, point_id=point.point_id, frame_id=i, is_database=False)
         frame = add_rgb_noise(
             frame,
@@ -326,8 +325,7 @@ def write_frame(frame: Frame, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     stem = _frame_stem(directory, frame.frame_id, frame.is_database)
     write_ppm(stem.with_suffix(".rgb"), frame.rgb)
-    depth_u16 = np.round(frame.depth * DEPTH_LEVELS).astype(np.uint16)
-    write_pgm16(stem.with_suffix(".depth"), depth_u16)
+    write_pgm16(stem.with_suffix(".depth"), frame.depth)
     write_pgm16(stem.with_suffix(".inst"), frame.instances)
     stem.with_suffix(".pose").write_text(pose_to_text(frame.pose) + "\n", encoding="ascii")
 
@@ -345,7 +343,7 @@ def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool)
     stem = _frame_stem(directory, frame_id, is_database)
     pose = _read_pose(stem.with_suffix(".pose"))
     rgb = read_ppm(stem.with_suffix(".rgb"))
-    depth = read_pgm16(stem.with_suffix(".depth")).astype(np.float64) / DEPTH_LEVELS
+    depth = read_pgm16(stem.with_suffix(".depth")).astype(np.uint16)
     inst = read_pgm16(stem.with_suffix(".inst")).astype(np.uint16)
     if not rgb.shape[:2] == depth.shape == inst.shape:
         sizes = ", ".join(
@@ -377,7 +375,7 @@ def manifest_to_text(m: DatasetManifest) -> str:
         f"fov_deg = {p.fov_deg:.17g}",
         f"resolution = {p.resolution}",
         f"camera_height = {p.camera_height:.17g}",
-        f"depth_max = {p.depth_max:.17g}",
+        f"depth_max = {DEPTH_MAX:.17g}",
         f"scene_floor_width = {sp.floor_width:.17g}",
         f"scene_floor_depth = {sp.floor_depth:.17g}",
         f"scene_wall_height = {sp.wall_height:.17g}",
@@ -422,6 +420,8 @@ def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest
         if scene:
             scene_lines.append((int(key[6:]), value))
     try:
+        if float(kv["depth_max"]) != DEPTH_MAX:
+            raise ValueError(f"depth_max {kv['depth_max']} is not the {DEPTH_MAX:g} m depth scale")
         scene_params = SceneParams(
             floor_width=float(kv["scene_floor_width"]),
             floor_depth=float(kv["scene_floor_depth"]),
@@ -444,7 +444,6 @@ def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest
             fov_deg=float(kv["fov_deg"]),
             resolution=int(kv["resolution"]),
             camera_height=float(kv["camera_height"]),
-            depth_max=float(kv["depth_max"]),
             scene=scene_params,
         )
         summaries = []
@@ -482,7 +481,11 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
     path = Path(directory) / "manifest.txt"
     if not path.exists():
         raise DatasetFormatError(f"missing manifest file {path}")
-    return manifest_from_text(path.read_text(encoding="ascii"), str(path))
+    try:
+        text = path.read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as e:
+        raise DatasetFormatError(f"corrupt manifest {path}: {e}") from e
+    return manifest_from_text(text, str(path))
 
 
 def _numeric_subdirs(path: Path) -> list[int]:

@@ -60,7 +60,7 @@ VARIANT_BOW = "bow"
 VARIANT_VLAD = "vlad"
 RETRIEVAL_VARIANTS = (VARIANT_BOW, VARIANT_VLAD)  # database file codes 0 and 1
 REGISTRATION_METHODS = ("umeyama", "ransac", "ransac+icp", "gnc")
-INVALID_DEPTH_MAX = 0.999  # normalized depth at or above this means no/far hit
+INVALID_DEPTH_MAX = 0.999  # level / DEPTH_LEVELS at or above this means no/far hit
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class DatabaseFrame:
     pose: Pose
     keypoint_xy: np.ndarray  # (n, 2) float64
     descriptors: np.ndarray  # (n, 32) uint8
-    keypoint_depth: np.ndarray  # (n,) float64, normalized depth at each keypoint
+    keypoint_depth: np.ndarray  # (n,) uint16, depth level at each keypoint
     words: np.ndarray  # (n,) int64, vocabulary word of each descriptor
 
 
@@ -352,20 +352,22 @@ def _register(
 
 
 def keypoint_depths(depth: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """The normalized depth raster at each keypoint's rounded pixel."""
+    """The Frame.depth levels at each keypoint's rounded pixel."""
     return depth[np.rint(xy[:, 1]).astype(np.int64), np.rint(xy[:, 0]).astype(np.int64)]
 
 
 def backproject_keypoints(
-    xy: np.ndarray, dn: np.ndarray, k: CameraIntrinsics
+    xy: np.ndarray, levels: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Camera-frame 3D points of one frame's keypoints, and which are valid.
 
-    dn is the normalized depth of each keypoint (keypoint_depths); a
-    keypoint is valid when 0 < depth < INVALID_DEPTH_MAX.  Returns
-    (points, valid): points is (n, 3), meaningful only where valid is True.
+    levels is each keypoint's uint16 depth level (keypoint_depths), turned
+    into metres here alone; valid means 0 < level / DEPTH_LEVELS <
+    INVALID_DEPTH_MAX.  Returns (points, valid): points is (n, 3),
+    meaningful only where valid is True.
     """
     u, v = xy[:, 0], xy[:, 1]
+    dn = levels / DEPTH_LEVELS
     valid = (0.0 < dn) & (dn < INVALID_DEPTH_MAX)
     z = dn * DEPTH_MAX
     return np.stack([z * (u - k.cx) / k.fx, z * (v - k.cy) / k.fy, z], axis=1), valid
@@ -536,7 +538,7 @@ def read_results(path: str | Path) -> list[ResultRow]:
 #   u32 record length (the bytes after this field: 64 + 54 n)
 #   u32 point id, f64 x 7 pose (tx ty tz qw qx qy qz), u32 keypoint count n
 #   n x 2 f64 keypoint xy, n x 32 u8 descriptors,
-#   n u16 depth at each keypoint (normalized depth * 65535),
+#   n u16 depth level at each keypoint,
 #   n u32 vocabulary word of each descriptor
 #
 # The embeddings are not stored: load_database rebuilds the index rows from
@@ -565,7 +567,7 @@ def save_database(db: LocalizationDatabase, path: str | Path) -> None:
             fh.write(_FRAME_HEAD.pack(f.point_id, *p.translation, q.w, q.x, q.y, q.z, n))
             fh.write(np.ascontiguousarray(f.keypoint_xy, dtype=">f8").tobytes())
             fh.write(np.ascontiguousarray(f.descriptors, dtype=np.uint8).tobytes())
-            fh.write(np.round(f.keypoint_depth * DEPTH_LEVELS).astype(">u2").tobytes())
+            fh.write(f.keypoint_depth.astype(">u2").tobytes())
             fh.write(np.asarray(f.words).astype(">u4").tobytes())
 
 
@@ -596,7 +598,7 @@ def _read_record(r: ExactReader, where: str, vocab_k: int, k: CameraIntrinsics) 
     at += 16 * n
     desc = field(np.uint8, DESCRIPTOR_BYTES * n, at).reshape(n, DESCRIPTOR_BYTES).copy()
     at += DESCRIPTOR_BYTES * n
-    depth = field(">u2", n, at).astype(np.float64) / DEPTH_LEVELS
+    depth = field(">u2", n, at).astype(np.uint16)
     words = field(">u4", n, at + 2 * n).astype(np.int64)
     pixels = np.rint(xy)  # the pixels lifting read the depth at; NaN fails below
     inside = (0 <= pixels) & (pixels <= np.array([k.width - 1, k.height - 1]))

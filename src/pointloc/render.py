@@ -8,7 +8,8 @@ corner-rich and view-consistent for feature matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from pointloc.geometry import CameraIntrinsics, Pose
 from pointloc.scene import SceneModel
 
 DEPTH_MAX = 10.0
-DEPTH_LEVELS = 65535  # on-disk 16-bit quantization, also applied at render time
+DEPTH_LEVELS = 65535  # depth level n is z-depth n / DEPTH_LEVELS * DEPTH_MAX
 BACKGROUND_RGB = (11, 11, 14)
 
 AMBIENT = 0.5
@@ -41,9 +42,9 @@ TEXTURE_COARSE_SPAN = 0.45
 class Frame:
     """One rendered RGB-D observation with instance labels and its true pose.
 
-    depth is normalized z-depth in [0, 1] over 0..10 m, quantized to the
-    16-bit on-disk grid (1.0 means >= 10 m or no hit).  instances holds box
-    instance ids, 0 for background.  pose is camera-to-world.
+    depth is a uint16 raster of z-depth levels: level n is n / DEPTH_LEVELS
+    of DEPTH_MAX (10 m), and DEPTH_LEVELS means >= 10 m or no hit.  instances
+    holds box instance ids, 0 for background.  pose is camera-to-world.
     """
 
     rgb: np.ndarray
@@ -58,6 +59,8 @@ class Frame:
         for name in ("rgb", "depth", "instances"):
             arr = getattr(self, name)
             arr.setflags(write=False)
+        if self.depth.dtype != np.uint16:
+            raise ValueError(f"depth must be a uint16 raster of levels, not {self.depth.dtype}")
         if self.rgb.shape[:2] != self.depth.shape or self.depth.shape != self.instances.shape:
             raise ValueError("rasters must share dimensions")
 
@@ -89,22 +92,16 @@ def _hash01(*channels: np.ndarray) -> np.ndarray:
     return _to01(state)
 
 
-_RAY_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _camera_rays(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel ray directions (du, dv) in the camera frame, as (height, width)
-    rasters; dz is 1."""
-    key = (k.fx, k.fy, k.cx, k.cy, k.width, k.height)
-    rays = _RAY_CACHE.get(key)
-    if rays is None:
-        u = ((np.arange(k.width) - k.cx) / k.fx).astype(np.float32)
-        v = ((np.arange(k.height) - k.cy) / k.fy).astype(np.float32)
-        rays = np.meshgrid(u, v)
-        for a in rays:
-            a.setflags(write=False)
-        _RAY_CACHE[key] = rays
-    return rays
+    """Per-pixel ray directions (du, dv) in the camera frame, as read-only
+    (height, width) rasters; dz is 1."""
+    u = ((np.arange(k.width) - k.cx) / k.fx).astype(np.float32)
+    v = ((np.arange(k.height) - k.cy) / k.fy).astype(np.float32)
+    rays = np.meshgrid(u, v)
+    for a in rays:
+        a.setflags(write=False)
+    return tuple(rays)
 
 
 NEAR_T = 1e-6  # a ray hits a box only where it enters beyond this z-depth
@@ -147,7 +144,7 @@ def _footprints(lo: np.ndarray, hi: np.ndarray, rotation: np.ndarray, k: CameraI
     return np.stack(windows, axis=1).astype(np.int64)
 
 
-def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics, depth_max: float = DEPTH_MAX) -> Frame:
+def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics) -> Frame:
     """Raycast all scene boxes from the given camera-to-world pose.
 
     Each box's float32 slab test runs only inside its screen footprint
@@ -203,11 +200,10 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics, depth_max: float 
 
     hit_mask = best_box >= 0
     depth = np.ones(shape)
-    np.divide(best_t, depth_max, out=depth, where=hit_mask, dtype=np.float64)
+    np.divide(best_t, DEPTH_MAX, out=depth, where=hit_mask, dtype=np.float64)
     np.minimum(depth, 1.0, out=depth)
     depth *= DEPTH_LEVELS
     np.round(depth, out=depth)
-    depth /= DEPTH_LEVELS
 
     instances = np.zeros(shape, dtype=np.uint16)
     rgb = np.empty((*shape, 3), dtype=np.uint8)
@@ -288,7 +284,7 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics, depth_max: float 
 
     return Frame(
         rgb=rgb,
-        depth=depth,
+        depth=depth.astype(np.uint16),
         instances=instances,
         pose=pose,
         point_id=-1,
@@ -310,12 +306,4 @@ def add_rgb_noise(frame: Frame, factor: float = 0.02, seed=0) -> Frame:
     rng = np.random.default_rng(seed)
     noise = np.round(255.0 * factor * rng.standard_normal(frame.rgb.shape))
     noisy = np.clip(frame.rgb.astype(np.int64) + noise.astype(np.int64), 0, 255)
-    return Frame(
-        rgb=noisy.astype(np.uint8),
-        depth=frame.depth,
-        instances=frame.instances,
-        pose=frame.pose,
-        point_id=frame.point_id,
-        frame_id=frame.frame_id,
-        is_database=frame.is_database,
-    )
+    return replace(frame, rgb=noisy.astype(np.uint8))

@@ -8,6 +8,7 @@ see the pass lines and stage timings.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -48,8 +49,11 @@ from pointloc.pipeline import (
     _index,
     build_database,
     extract_frame_features,
+    load_database,
     localize,
+    save_database,
     train_vocabulary_for_dataset,
+    write_results,
 )
 from pointloc.registration import (
     RegistrationFailedError,
@@ -57,8 +61,9 @@ from pointloc.registration import (
     ransac_register,
     umeyama,
 )
+from pointloc.render import DEPTH_LEVELS
 from pointloc.retrieval import RetrievalIndex, assign_words, query_top1, query_topk
-from pointloc.scene import camera_yaw
+from pointloc.scene import SceneParams, camera_yaw
 
 SEED = 7
 PARAMS = GenerationParams(queries_per_point=50, noise_factor=0.0)
@@ -132,8 +137,9 @@ class TestCriterion1DatasetConstruction:
                 assert np.linalg.norm(offset) <= 0.5 + 1e-12
             for f in group.frames():
                 assert f.pose.translation[2] == pytest.approx(1.25)
-                assert 0.0 <= f.depth.min() and f.depth.max() <= 1.0
-            # depth is z-depth normalized over 0-10 m: probe pixels against an
+                # levels 0..DEPTH_LEVELS: normalized depth in [0, 1]
+                assert f.depth.dtype == np.uint16
+            # depth is z-depth in levels over 0-10 m: probe pixels against an
             # independent analytic ray-box intersection
             frame = group.database_frames[int(rng.integers(6))]
             r = frame.pose.rotation.rotation_matrix()
@@ -148,14 +154,14 @@ class TestCriterion1DatasetConstruction:
                     if t is not None and 1e-6 < t < best:
                         best = t
                 expected = 1.0 if best is np.inf else min(best / 10.0, 1.0)
-                assert frame.depth[v, u] == pytest.approx(expected, abs=1e-4)
+                assert frame.depth[v, u] / DEPTH_LEVELS == pytest.approx(expected, abs=1e-4)
         assert points >= 20
         assert workspace["generation_seconds"] < 60.0
         announce(
             1,
             f"{points} points generated in {workspace['generation_seconds']:.1f}s; "
             "6 db frames at 60 deg spacing, queries within 0.5 m, camera at 1.25 m, "
-            "depth normalized over 0-10 m",
+            "depth in 16-bit levels over 0-10 m",
         )
 
 
@@ -416,6 +422,61 @@ class TestCriterion6Determinism:
             "generate / train-vocab / build-db / localize byte-identical across "
             "two runs with different thread counts",
         )
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestEquivalenceOracle:
+    """Byte identity of every artefact on a small fixed dataset, pinned by
+    SHA-256 digest.  A refactor that promises unchanged output must leave
+    these digests as they are; a change that alters output on purpose must
+    say so and record new ones."""
+
+    PARAMS = GenerationParams(
+        queries_per_point=8, scene=SceneParams(floor_width=6.0, floor_depth=6.0)
+    )
+    VOCAB_K = 32  # small enough that the VLAD norm stays single-threaded
+    CONFIGS = {
+        "vlad": PipelineConfig(retrieval="vlad", method="gnc", record_timings=False),
+        "bow": PipelineConfig(retrieval="bow", method="ransac+icp", record_timings=False),
+    }
+    DIGESTS = {
+        "dataset": "605686a0abdc1c4d2b28aed087ad449463870760fd74aca45194f394e79b2b97",
+        "db_vlad": "287d5eafa435f750a531d36525fed710d425091b24812ddfceef6702e6f8924e",
+        "db_bow": "db2afc27d90a083125884acbaae3ffe875da1f0effa90c28022a03b5ec75fa2d",
+        "results_vlad": "cd0162c6a9c5880258afe3a0ce63934fcfd604e3382643efa1dcacff22e7cd17",
+        "results_bow": "dab3c794ba39fe900a40d7015f0fa500592eeafd5d019bff655876bd14d4ee3b",
+    }
+
+    def test_artefacts_match_recorded_digests(self, tmp_path):
+        dataset = tmp_path / "dataset"
+        generate_dataset_to_dir(SEED, self.PARAMS, dataset)
+        tree = b"".join(
+            name.encode() + b"\0" + sha256_hex(data).encode() + b"\n"
+            for name, data in tree_bytes(dataset).items()
+        )
+        digests = {"dataset": sha256_hex(tree)}
+        vocab = train_vocabulary_for_dataset(
+            iter_point_groups(dataset), k=self.VOCAB_K, seed=0, config=self.CONFIGS["vlad"]
+        )
+        for variant, config in self.CONFIGS.items():
+            db_path = tmp_path / f"{variant}.db"
+            built = build_database(
+                iter_point_groups(dataset), vocab, config, self.PARAMS.intrinsics()
+            )
+            save_database(built, db_path)
+            db = load_database(db_path)
+            results = [
+                localize(db, query, config)
+                for group in iter_point_groups(dataset)
+                for query in group.query_frames
+            ]
+            write_results(results, tmp_path / f"{variant}.csv")
+            digests[f"db_{variant}"] = sha256_hex(db_path.read_bytes())
+            digests[f"results_{variant}"] = sha256_hex((tmp_path / f"{variant}.csv").read_bytes())
+        assert digests == self.DIGESTS
 
 
 class TestCriterion7TimingHarness:

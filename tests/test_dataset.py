@@ -119,6 +119,7 @@ class TestGeneratePointFrames:
         b = generate_point_frames(scene, gp, SMALL, dataset_seed=3)
         for fa, fb in zip(a.frames(), b.frames()):
             assert np.array_equal(fa.rgb, fb.rgb)
+            assert fa.depth.dtype == fb.depth.dtype == np.uint16
             assert np.array_equal(fa.depth, fb.depth)
             assert fa.pose == fb.pose
 
@@ -210,6 +211,7 @@ class TestDatasetIO:
             (f for g in groups for f in g.frames()), (f for g in loaded_groups for f in g.frames())
         ):
             assert np.array_equal(orig.rgb, got.rgb)
+            assert orig.depth.dtype == got.depth.dtype == np.uint16
             assert np.array_equal(orig.depth, got.depth)
             assert np.array_equal(orig.instances, got.instances)
             assert orig.pose == got.pose
@@ -304,6 +306,14 @@ class TestManifest:
     def test_corrupt_manifest_names_file(self):
         with pytest.raises(DatasetFormatError, match="manifest.txt"):
             manifest_from_text("format = pointloc-dataset-v1\n")
+
+    def test_other_depth_scale_rejected(self):
+        """Lifting always scales depth levels by DEPTH_MAX, so a manifest
+        announcing another scale names a dataset this code would misread."""
+        text = manifest_to_text(DatasetManifest(9, (), 0, 0, 0, 0, 1, GenerationParams()))
+        assert "\ndepth_max = 10\n" in text
+        with pytest.raises(DatasetFormatError, match="depth_max 5 is not"):
+            manifest_from_text(text.replace("depth_max = 10\n", "depth_max = 5\n"))
 
     def test_written_manifests_load(self, tmp_path):
         for scenes in (1, 2):

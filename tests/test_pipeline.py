@@ -36,7 +36,7 @@ from pointloc.pipeline import (
     train_vocabulary_for_dataset,
     write_results,
 )
-from pointloc.render import Frame
+from pointloc.render import DEPTH_LEVELS, Frame
 from pointloc.retrieval import EmptyIndexError, Vocabulary, assign_words
 from pointloc.scene import SceneParams
 
@@ -291,17 +291,21 @@ class TestLocalize:
             )
 
 
+# the first and last valid levels and their invalid neighbours:
+# 65469 / 65535 < INVALID_DEPTH_MAX <= 65470 / 65535
+VALIDITY_EDGE_LEVELS = (0, 1, 65469, 65470, DEPTH_LEVELS)
+
+
 def keypoint_frame(rng, n, h=24, w=32):
-    """n keypoints with fractional and exact-half coordinates, and a depth
-    raster mixing 0, values at and just around INVALID_DEPTH_MAX, and 1."""
+    """n keypoints with fractional and exact-half coordinates, and a raster
+    of depth levels mixing uniform levels with the validity edges."""
     xy = np.stack([rng.uniform(0, w - 1, n), rng.uniform(0, h - 1, n)], axis=1)
     halves = rng.random(n) < 0.3
     xy[halves] = rng.integers(0, [w - 1, h - 1], (halves.sum(), 2)) + 0.5
-    special = [0.0, INVALID_DEPTH_MAX, np.nextafter(INVALID_DEPTH_MAX, 0), np.nextafter(INVALID_DEPTH_MAX, 2), 1.0]
-    depth = rng.uniform(0.0, 1.0, (h, w))
+    levels = rng.integers(0, DEPTH_LEVELS, (h, w), endpoint=True).astype(np.uint16)
     marked = rng.random((h, w)) < 0.3
-    depth[marked] = rng.choice(special, marked.sum())
-    return xy, depth
+    levels[marked] = rng.choice(VALIDITY_EDGE_LEVELS, marked.sum())
+    return xy, levels
 
 
 class TestKeypointLifting:
@@ -316,15 +320,17 @@ class TestKeypointLifting:
     )
     def test_matches_scalar_lifting(self, seed, n_query, n_db, n_matches):
         rng = np.random.default_rng(seed)
-        q_xy, q_depth = keypoint_frame(rng, n_query)
-        d_xy, d_depth = keypoint_frame(rng, n_db)
+        q_xy, q_levels = keypoint_frame(rng, n_query)
+        d_xy, d_levels = keypoint_frame(rng, n_db)
+        # the oracles lift normalized depth rasters
+        q_depth, d_depth = q_levels / DEPTH_LEVELS, d_levels / DEPTH_LEVELS
         if n_query == 0 or n_db == 0:
             n_matches = 0
         matches = [
             Match(int(rng.integers(n_query)), int(rng.integers(n_db)), 0) for _ in range(n_matches)
         ]
-        q_points, q_valid = backproject_keypoints(q_xy, keypoint_depths(q_depth, q_xy), self.K)
-        d_points, d_valid = backproject_keypoints(d_xy, keypoint_depths(d_depth, d_xy), self.K)
+        q_points, q_valid = backproject_keypoints(q_xy, keypoint_depths(q_levels, q_xy), self.K)
+        d_points, d_valid = backproject_keypoints(d_xy, keypoint_depths(d_levels, d_xy), self.K)
         assert np.array_equal(q_points[q_valid], lift_cloud_scalar(q_xy, q_depth, self.K))
         assert np.array_equal(d_points[d_valid], lift_cloud_scalar(d_xy, d_depth, self.K))
 
@@ -337,7 +343,7 @@ class TestKeypointLifting:
         assert np.array_equal(d_points[di[lifted]], want_d)
 
     def test_depth_validity_edges(self):
-        depth = np.array([[0.0, 1e-12, np.nextafter(INVALID_DEPTH_MAX, 0), INVALID_DEPTH_MAX, 1.0]])
+        depth = np.array([VALIDITY_EDGE_LEVELS], dtype=np.uint16)
         xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.4, 0.4], [2.6, -0.4], [4.0, 0.0]])
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=0.0, width=5, height=1)
         points, valid = backproject_keypoints(xy, keypoint_depths(depth, xy), k)
@@ -346,6 +352,20 @@ class TestKeypointLifting:
         none = np.zeros((0, 2))
         points, valid = backproject_keypoints(none, keypoint_depths(depth, none), k)
         assert points.shape == (0, 3) and valid.shape == (0,)
+
+    def test_every_level_lifts_as_normalized_depth(self):
+        """All 65,536 levels, one per pixel of a 256 x 256 raster: lifting
+        the uint16 levels gives the points and validity of the scalar oracle
+        on the normalized depth n / 65535."""
+        k = CameraIntrinsics(fx=200.0, fy=190.0, cx=127.5, cy=127.5, width=256, height=256)
+        levels = np.arange(DEPTH_LEVELS + 1, dtype=np.uint16).reshape(256, 256)
+        vs, us = np.mgrid[0:256, 0:256]
+        xy = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
+        points, valid = backproject_keypoints(xy, keypoint_depths(levels, xy), k)
+        normalized = levels.astype(np.float64) / DEPTH_LEVELS  # what frames used to hold
+        in_range = (0.0 < normalized) & (normalized < INVALID_DEPTH_MAX)
+        assert np.array_equal(valid, in_range.ravel())
+        assert points[valid].tobytes() == lift_cloud_scalar(xy, normalized, k).tobytes()
 
 
 class TestRetrievalOnly:
@@ -479,6 +499,7 @@ class TestDatabaseFile:
             assert a.pose == b.pose
             assert np.array_equal(a.keypoint_xy, b.keypoint_xy)
             assert np.array_equal(a.descriptors, b.descriptors)
+            assert a.keypoint_depth.dtype == b.keypoint_depth.dtype == np.uint16
             assert a.keypoint_depth.tobytes() == b.keypoint_depth.tobytes()
             assert np.array_equal(a.words, b.words)
 
@@ -496,7 +517,7 @@ class TestDatabaseFile:
         for i in range(n):
             desc = rng.integers(0, 256, (30, 32), dtype=np.uint8)
             xy = rng.integers(0, 256, (30, 2)).astype(np.float64)
-            depth = rng.integers(1, 65000, 30) / 65535.0
+            depth = rng.integers(1, 65000, 30).astype(np.uint16)
             words = assign_words(desc, vocab.centroids)
             frames.append(DatabaseFrame(i, Pose.identity(), xy, desc, depth, words))
         db = LocalizationDatabase(

@@ -477,14 +477,15 @@ class TestGncTls:
 def rendered_backprojection_cloud(rng, n):
     """Back-projected pixels of one rendered frame, subsampled to n points."""
     from pointloc.geometry import intrinsics_from_fov
-    from pointloc.render import render
+    from pointloc.render import DEPTH_LEVELS, render
     from pointloc.scene import camera_pose, generate_scene
 
     scene = generate_scene(6)
     k = intrinsics_from_fov(90.0, 64, 64)
     frame = render(scene, camera_pose((5.0, 5.0, 1.25), 0.4), k)
-    vs, us = np.nonzero((frame.depth > 0.01) & (frame.depth < 0.99))
-    depths = frame.depth[vs, us] * 10.0
+    depth = frame.depth / DEPTH_LEVELS
+    vs, us = np.nonzero((depth > 0.01) & (depth < 0.99))
+    depths = depth[vs, us] * 10.0
     x = depths * (us - k.cx) / k.fx
     y = depths * (vs - k.cy) / k.fy
     pts = np.stack([x, y, depths], axis=1)

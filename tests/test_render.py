@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from oracles import box_hits_full_raster, ray_box_z_depth, render_full_raster
 
 from pointloc import dataset
 from pointloc.geometry import Pose, intrinsics_from_fov
-from pointloc.render import DEPTH_LEVELS, _footprints, add_rgb_noise, render
+from pointloc.render import DEPTH_LEVELS, _camera_rays, _footprints, add_rgb_noise, render
 from pointloc.scene import (
     Box,
     SceneModel,
@@ -34,7 +36,7 @@ class TestRenderBasics:
     def test_wall_at_5m_principal_depth(self):
         frame = render(wall_scene(), camera_pose((0.0, 0.0, 1.25), 0.0), K64)
         cv, cu = int(K64.cy), int(K64.cx)
-        assert frame.depth[cv, cu] == pytest.approx(0.5, abs=QUANT + 1e-9)
+        assert frame.depth[cv, cu] / DEPTH_LEVELS == pytest.approx(0.5, abs=QUANT + 1e-9)
         assert frame.instances[cv, cu] == 7
 
     def test_empty_halfspace_no_hits(self):
@@ -42,7 +44,7 @@ class TestRenderBasics:
         # camera far outside the room, facing away from it
         pose = camera_pose((-60.0, -60.0, 1.25), np.pi)  # looking toward -x
         frame = render(scene, pose, K64)
-        assert np.all(frame.depth == 1.0)
+        assert np.all(frame.depth == DEPTH_LEVELS)
         assert np.all(frame.instances == 0)
 
     def test_deterministic(self):
@@ -57,9 +59,29 @@ class TestRenderBasics:
     def test_depth_in_unit_range_and_quantized(self):
         scene = generate_scene(2)
         frame = render(scene, camera_pose((4.0, 4.0, 1.25), 0.9), K64)
-        assert frame.depth.min() >= 0.0 and frame.depth.max() <= 1.0
-        scaled = frame.depth * DEPTH_LEVELS
-        assert np.allclose(scaled, np.round(scaled), atol=1e-6)
+        # levels 0..DEPTH_LEVELS: normalized depth in [0, 1], on the 16-bit grid
+        assert frame.depth.dtype == np.uint16
+
+    def test_float_depth_rejected(self):
+        """A normalized float raster would be divided by DEPTH_LEVELS again
+        when lifted; Frame takes only uint16 levels."""
+        frame = render(wall_scene(), camera_pose((0.0, 0.0, 1.25), 0.0), K64)
+        with pytest.raises(ValueError, match="uint16"):
+            replace(frame, depth=frame.depth / DEPTH_LEVELS)
+
+    def test_ray_cache_is_bounded(self):
+        scene = wall_scene()
+        for size in range(1, 13):
+            render(scene, camera_pose((0.0, 0.0, 1.25), 0.0), intrinsics_from_fov(90.0, size, size))
+        assert _camera_rays.cache_info().currsize <= 8
+
+    def test_cached_rays_read_only(self):
+        rays = _camera_rays(K64)
+        assert _camera_rays(K64) is rays
+        for a in rays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
     def test_rasters_share_dimensions(self):
         frame = render(generate_scene(2), camera_pose((4, 4, 1.25), 0.0), K64)
@@ -91,11 +113,11 @@ class TestRenderOracle:
                     if t is not None and 1e-6 < t < best_t:
                         best_t, best_id = t, b.instance_id
                 if best_t is np.inf:
-                    assert frame.depth[v, u] == 1.0
+                    assert frame.depth[v, u] == DEPTH_LEVELS
                     assert frame.instances[v, u] == 0
                 else:
                     expected = min(best_t / 10.0, 1.0)
-                    assert frame.depth[v, u] == pytest.approx(
+                    assert frame.depth[v, u] / DEPTH_LEVELS == pytest.approx(
                         expected, abs=QUANT + 1e-6
                     )
                     assert frame.instances[v, u] == best_id
@@ -106,7 +128,7 @@ class TestRenderOracle:
         scene = SceneModel(0, (-20.0, 20.0, -30.0, 30.0), (wall,), 30.0)
         frame = render(scene, camera_pose((0.0, 0.0, 1.25), 0.0), K64)
         cv, cu = int(K64.cy), int(K64.cx)
-        assert frame.depth[cv, cu] == 1.0
+        assert frame.depth[cv, cu] == DEPTH_LEVELS
         assert frame.instances[cv, cu] == 7
 
 
@@ -142,7 +164,13 @@ def render_cases(draw):
 
 
 def assert_same_frame(frame, expected):
-    for got, want in zip((frame.rgb, frame.depth, frame.instances), expected):
+    """frame is render's, expected the (rgb, depth, instances) of
+    render_full_raster, whose depth is normalized: render's depth levels
+    must be round(depth * DEPTH_LEVELS) exactly."""
+    rgb, depth, instances = expected
+    assert frame.depth.dtype == np.uint16
+    assert np.array_equal(frame.depth, np.round(depth * DEPTH_LEVELS))
+    for got, want in ((frame.rgb, rgb), (frame.instances, instances)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
