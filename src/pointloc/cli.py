@@ -204,21 +204,33 @@ def cmd_evaluate(args) -> int:
         render_recall_csv,
         render_recall_markdown,
     )
-    from pointloc.pipeline import read_results
+    from pointloc.pipeline import ResultsFormatError, read_results
 
     rows = read_results(args.results)
     if not rows:
         raise EvaluationError(f"results file {args.results} is empty")
     gt = query_poses(args.dataset)
-    pairs = []
+
+    def not_once(key, what):
+        return ResultsFormatError(
+            f"results file {args.results} holds {len(rows)} lines for the {len(gt)} "
+            f"queries of {args.dataset}: query point={key[0]} frame={key[1]} is {what}"
+        )
+
+    pairs = {}
     for row in rows:
         key = (row.query_point_id, row.query_frame_id)
         if key not in gt:
             raise DatasetFormatError(
                 f"query point={key[0]} frame={key[1]} not found in {args.dataset}"
             )
-        pairs.append((row.pose, gt[key]))
-    recall_row = recall_at(pairs)
+        if key in pairs:
+            raise not_once(key, "repeated")
+        pairs[key] = (row.pose, gt[key])
+    missing = next((key for key in gt if key not in pairs), None)
+    if missing is not None:
+        raise not_once(missing, "missing")
+    recall_row = recall_at(list(pairs.values()))
     check_monotonicity(recall_row)
     name = args.name or Path(args.results).stem
     table = RecallTable()

@@ -23,9 +23,9 @@ together, the point ids of scene_<i> are offset by i * SCENE_POINT_ID_STRIDE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -357,110 +357,78 @@ def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool)
 # --- manifest ----------------------------------------------------------------
 
 
+_COUNTS = ("seed", "maps", "points", "poses", "categories", "instances")
+
+
+def _settings(params: GenerationParams) -> list[tuple[str, type, object]]:
+    """(manifest key, declared type, value) of each generation setting, in
+    file order: the GenerationParams fields but scenes and scene, depth_max,
+    then each SceneParams field as scene_<name>."""
+
+    def of(obj, prefix: str) -> list[tuple[str, type, object]]:
+        types = get_type_hints(type(obj))
+        return [
+            (prefix + f.name, types[f.name], getattr(obj, f.name))
+            for f in fields(obj)
+            if f.name not in ("scenes", "scene")
+        ]
+
+    return [*of(params, ""), ("depth_max", float, DEPTH_MAX), *of(params.scene, "scene_")]
+
+
 def manifest_to_text(m: DatasetManifest) -> str:
-    p = m.params
-    sp = p.scene
-    lines = [
-        "format = pointloc-dataset-v1",
-        f"seed = {m.seed}",
-        f"maps = {m.maps}",
-        f"points = {m.points}",
-        f"poses = {m.poses}",
-        f"categories = {m.categories}",
-        f"instances = {m.instances}",
-        f"grid_spacing = {p.grid_spacing:.17g}",
-        f"queries_per_point = {p.queries_per_point}",
-        f"query_radius = {p.query_radius:.17g}",
-        f"noise_factor = {p.noise_factor:.17g}",
-        f"fov_deg = {p.fov_deg:.17g}",
-        f"resolution = {p.resolution}",
-        f"camera_height = {p.camera_height:.17g}",
-        f"depth_max = {DEPTH_MAX:.17g}",
-        f"scene_floor_width = {sp.floor_width:.17g}",
-        f"scene_floor_depth = {sp.floor_depth:.17g}",
-        f"scene_wall_height = {sp.wall_height:.17g}",
-        f"scene_wall_thickness = {sp.wall_thickness:.17g}",
-        f"scene_min_obstacles = {sp.min_obstacles}",
-        f"scene_max_obstacles = {sp.max_obstacles}",
-        f"scene_min_box_size = {sp.min_box_size:.17g}",
-        f"scene_max_box_size = {sp.max_box_size:.17g}",
-        f"scene_tall_fraction = {sp.tall_fraction:.17g}",
-        f"scene_keypose_spacing = {sp.keypose_spacing:.17g}",
-        f"scene_keypose_clearance = {sp.keypose_clearance:.17g}",
-        f"scenes = {len(m.scenes)}",
-    ]
+    lines = ["format = pointloc-dataset-v1", *(f"{key} = {getattr(m, key)}" for key in _COUNTS)]
+    for key, kind, value in _settings(m.params):
+        lines.append(f"{key} = {value:.17g}" if kind is float else f"{key} = {value}")
+    lines.append(f"scenes = {len(m.scenes)}")
     for i, s in enumerate(m.scenes):
         lines.append(f"scene_{i} = {s.name} {s.seed} {s.points} {s.poses}")
     return "\n".join(lines) + "\n"
 
 
-_MANIFEST_KEYS = frozenset(
-    line.split("=", 1)[0].strip()
-    for line in manifest_to_text(
-        DatasetManifest(0, (), 0, 0, 0, 0, 0, GenerationParams())
-    ).splitlines()
-)
-
-
 def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest:
     """Parse what manifest_to_text writes: blank lines aside, every line is
-    a known `key = value` (scene_<i> for the scene summaries), each once."""
+    a known `key = value`, each once, with scenes = N followed by exactly
+    the lines scene_0 to scene_<N-1>.  Settings must be finite and describe
+    a camera intrinsics_from_fov accepts."""
+    settings = _settings(GenerationParams())
+    known = {"format", "scenes", *_COUNTS, *(key for key, _, _ in settings)}
     kv: dict[str, str] = {}
-    scene_lines: list[tuple[int, str]] = []
+    scene_lines = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         key, eq, value = (part.strip() for part in raw.partition("="))
         scene = key.startswith("scene_") and key[6:].isdecimal()
-        if not eq or not (scene or key in _MANIFEST_KEYS):
+        if not eq or not (scene or key in known):
             raise DatasetFormatError(f"{path}:{lineno}: not a known 'key = value' line: {raw!r}")
         if key in kv:
             raise DatasetFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         kv[key] = value
-        if scene:
-            scene_lines.append((int(key[6:]), value))
+        scene_lines += scene
     try:
-        if float(kv["depth_max"]) != DEPTH_MAX:
+        values = {}
+        for key, kind, _ in settings:
+            values[key] = kind(kv[key])
+            if kind is float and not math.isfinite(values[key]):
+                raise ValueError(f"{key} = {kv[key]} is not finite")
+        if values.pop("depth_max") != DEPTH_MAX:
             raise ValueError(f"depth_max {kv['depth_max']} is not the {DEPTH_MAX:g} m depth scale")
         scene_params = SceneParams(
-            floor_width=float(kv["scene_floor_width"]),
-            floor_depth=float(kv["scene_floor_depth"]),
-            wall_height=float(kv["scene_wall_height"]),
-            wall_thickness=float(kv["scene_wall_thickness"]),
-            min_obstacles=int(kv["scene_min_obstacles"]),
-            max_obstacles=int(kv["scene_max_obstacles"]),
-            min_box_size=float(kv["scene_min_box_size"]),
-            max_box_size=float(kv["scene_max_box_size"]),
-            tall_fraction=float(kv["scene_tall_fraction"]),
-            keypose_spacing=float(kv["scene_keypose_spacing"]),
-            keypose_clearance=float(kv["scene_keypose_clearance"]),
+            **{f.name: values.pop(f"scene_{f.name}") for f in fields(SceneParams)}
         )
-        params = GenerationParams(
-            scenes=int(kv.get("scenes", "1")),
-            grid_spacing=float(kv["grid_spacing"]),
-            queries_per_point=int(kv["queries_per_point"]),
-            query_radius=float(kv["query_radius"]),
-            noise_factor=float(kv["noise_factor"]),
-            fov_deg=float(kv["fov_deg"]),
-            resolution=int(kv["resolution"]),
-            camera_height=float(kv["camera_height"]),
-            scene=scene_params,
-        )
+        params = GenerationParams(scenes=int(kv["scenes"]), scene=scene_params, **values)
+        params.intrinsics()  # no camera, no dataset; a huge resolution overflows
+        if not 1 <= params.scenes == scene_lines:
+            raise ValueError(f"{scene_lines} scene_<i> lines for scenes = {params.scenes}")
         summaries = []
-        for _, value in sorted(scene_lines):
-            name, seed, points, poses = value.split()
+        for i in range(params.scenes):  # a KeyError names a missing line
+            name, seed, points, poses = kv[f"scene_{i}"].split()
             summaries.append(SceneSummary(name, int(seed), int(points), int(poses)))
         return DatasetManifest(
-            seed=int(kv["seed"]),
-            scenes=tuple(summaries),
-            points=int(kv["points"]),
-            poses=int(kv["poses"]),
-            categories=int(kv["categories"]),
-            instances=int(kv["instances"]),
-            maps=int(kv["maps"]),
-            params=params,
+            scenes=tuple(summaries), params=params, **{key: int(kv[key]) for key in _COUNTS}
         )
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, ArithmeticError) as e:
         raise DatasetFormatError(f"corrupt manifest {path}: {e}") from e
 
 

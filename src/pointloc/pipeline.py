@@ -112,27 +112,16 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
 
 
+# Every field's default has the field's type.
 _CONFIG_PARSERS = {
-    "retrieval": str,
-    "method": str,
-    "ratio": float,
-    "mutual": _parse_bool,
-    "min_matches": int,
-    "max_keypoints": int,
-    "fast_threshold": int,
-    "ransac_threshold": float,
-    "ransac_iters": int,
-    "ransac_seed": int,
-    "icp_iters": int,
-    "icp_tol": float,
-    "gnc_noise_bound": float,
-    "record_timings": _parse_bool,
-    "hardware": str,
+    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+    for f in fields(PipelineConfig)
 }
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """key = value lines; unknown keys are rejected."""
+    """key = value lines, one per PipelineConfig field at most; unknown and
+    repeated keys are rejected."""
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -143,6 +132,8 @@ def parse_config(text: str) -> PipelineConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
+        if key in kv:
+            raise ValueError(f"duplicate config key {key!r} on line {lineno}")
         try:
             kv[key] = _CONFIG_PARSERS[key](value)
         except ValueError as e:

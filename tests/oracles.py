@@ -10,6 +10,16 @@ import math
 
 import numpy as np
 
+from pointloc.dataset import (
+    DatasetFormatError,
+    DatasetManifest,
+    GenerationParams,
+    SceneSummary,
+)
+from pointloc.pipeline import PipelineConfig, _parse_bool
+from pointloc.render import DEPTH_MAX
+from pointloc.scene import SceneParams
+
 
 def quat_to_matrix(w: float, x: float, y: float, z: float) -> np.ndarray:
     """Rotation matrix via the sandwich product q * v * q^-1 on basis vectors."""
@@ -606,3 +616,154 @@ def box_hits_full_raster(box, pose, k) -> np.ndarray:
     t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
     t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
     return (t_enter <= t_exit) & (t_enter > np.float32(1e-6))
+
+
+# --- the hand-listed text schemas that the field-derived ones replaced ------------
+#
+# Kept verbatim so that tests can compare the manifest and config readers and
+# writers derived from the dataclass fields against the listed originals.
+
+
+def manifest_to_text(m: DatasetManifest) -> str:
+    p = m.params
+    sp = p.scene
+    lines = [
+        "format = pointloc-dataset-v1",
+        f"seed = {m.seed}",
+        f"maps = {m.maps}",
+        f"points = {m.points}",
+        f"poses = {m.poses}",
+        f"categories = {m.categories}",
+        f"instances = {m.instances}",
+        f"grid_spacing = {p.grid_spacing:.17g}",
+        f"queries_per_point = {p.queries_per_point}",
+        f"query_radius = {p.query_radius:.17g}",
+        f"noise_factor = {p.noise_factor:.17g}",
+        f"fov_deg = {p.fov_deg:.17g}",
+        f"resolution = {p.resolution}",
+        f"camera_height = {p.camera_height:.17g}",
+        f"depth_max = {DEPTH_MAX:.17g}",
+        f"scene_floor_width = {sp.floor_width:.17g}",
+        f"scene_floor_depth = {sp.floor_depth:.17g}",
+        f"scene_wall_height = {sp.wall_height:.17g}",
+        f"scene_wall_thickness = {sp.wall_thickness:.17g}",
+        f"scene_min_obstacles = {sp.min_obstacles}",
+        f"scene_max_obstacles = {sp.max_obstacles}",
+        f"scene_min_box_size = {sp.min_box_size:.17g}",
+        f"scene_max_box_size = {sp.max_box_size:.17g}",
+        f"scene_tall_fraction = {sp.tall_fraction:.17g}",
+        f"scene_keypose_spacing = {sp.keypose_spacing:.17g}",
+        f"scene_keypose_clearance = {sp.keypose_clearance:.17g}",
+        f"scenes = {len(m.scenes)}",
+    ]
+    for i, s in enumerate(m.scenes):
+        lines.append(f"scene_{i} = {s.name} {s.seed} {s.points} {s.poses}")
+    return "\n".join(lines) + "\n"
+
+
+_MANIFEST_KEYS = frozenset(
+    line.split("=", 1)[0].strip()
+    for line in manifest_to_text(
+        DatasetManifest(0, (), 0, 0, 0, 0, 0, GenerationParams())
+    ).splitlines()
+)
+
+
+def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest:
+    """Parse what manifest_to_text writes: blank lines aside, every line is
+    a known `key = value` (scene_<i> for the scene summaries), each once."""
+    kv: dict[str, str] = {}
+    scene_lines: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        key, eq, value = (part.strip() for part in raw.partition("="))
+        scene = key.startswith("scene_") and key[6:].isdecimal()
+        if not eq or not (scene or key in _MANIFEST_KEYS):
+            raise DatasetFormatError(f"{path}:{lineno}: not a known 'key = value' line: {raw!r}")
+        if key in kv:
+            raise DatasetFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        kv[key] = value
+        if scene:
+            scene_lines.append((int(key[6:]), value))
+    try:
+        if float(kv["depth_max"]) != DEPTH_MAX:
+            raise ValueError(f"depth_max {kv['depth_max']} is not the {DEPTH_MAX:g} m depth scale")
+        scene_params = SceneParams(
+            floor_width=float(kv["scene_floor_width"]),
+            floor_depth=float(kv["scene_floor_depth"]),
+            wall_height=float(kv["scene_wall_height"]),
+            wall_thickness=float(kv["scene_wall_thickness"]),
+            min_obstacles=int(kv["scene_min_obstacles"]),
+            max_obstacles=int(kv["scene_max_obstacles"]),
+            min_box_size=float(kv["scene_min_box_size"]),
+            max_box_size=float(kv["scene_max_box_size"]),
+            tall_fraction=float(kv["scene_tall_fraction"]),
+            keypose_spacing=float(kv["scene_keypose_spacing"]),
+            keypose_clearance=float(kv["scene_keypose_clearance"]),
+        )
+        params = GenerationParams(
+            scenes=int(kv.get("scenes", "1")),
+            grid_spacing=float(kv["grid_spacing"]),
+            queries_per_point=int(kv["queries_per_point"]),
+            query_radius=float(kv["query_radius"]),
+            noise_factor=float(kv["noise_factor"]),
+            fov_deg=float(kv["fov_deg"]),
+            resolution=int(kv["resolution"]),
+            camera_height=float(kv["camera_height"]),
+            scene=scene_params,
+        )
+        summaries = []
+        for _, value in sorted(scene_lines):
+            name, seed, points, poses = value.split()
+            summaries.append(SceneSummary(name, int(seed), int(points), int(poses)))
+        return DatasetManifest(
+            seed=int(kv["seed"]),
+            scenes=tuple(summaries),
+            points=int(kv["points"]),
+            poses=int(kv["poses"]),
+            categories=int(kv["categories"]),
+            instances=int(kv["instances"]),
+            maps=int(kv["maps"]),
+            params=params,
+        )
+    except (KeyError, ValueError) as e:
+        raise DatasetFormatError(f"corrupt manifest {path}: {e}") from e
+
+
+CONFIG_PARSERS = {
+    "retrieval": str,
+    "method": str,
+    "ratio": float,
+    "mutual": _parse_bool,
+    "min_matches": int,
+    "max_keypoints": int,
+    "fast_threshold": int,
+    "ransac_threshold": float,
+    "ransac_iters": int,
+    "ransac_seed": int,
+    "icp_iters": int,
+    "icp_tol": float,
+    "gnc_noise_bound": float,
+    "record_timings": _parse_bool,
+    "hardware": str,
+}
+
+
+def parse_config(text: str) -> PipelineConfig:
+    """key = value lines; unknown keys are rejected."""
+    kv = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno} is not 'key = value': {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_PARSERS:
+            raise ValueError(f"unknown config key {key!r} on line {lineno}")
+        try:
+            kv[key] = CONFIG_PARSERS[key](value)
+        except ValueError as e:
+            raise ValueError(f"config key {key!r} on line {lineno}: {e}") from e
+    return PipelineConfig(**kv)

@@ -151,6 +151,26 @@ class TestLocalizeAndEvaluate:
         )
         assert rc == EXIT_EVAL
 
+    @pytest.mark.parametrize(
+        "edit, culprit, problem",
+        [(lambda lines: lines[:3], 3, "missing"), (lambda lines: lines + lines[4:5], 4, "repeated")],
+        ids=["cut", "padded"],
+    )
+    def test_results_must_answer_each_query_once(
+        self, workspace, tmp_path, capsys, edit, culprit, problem
+    ):
+        lines = workspace["results"].read_text().splitlines()
+        edited = edit(lines)
+        changed = tmp_path / "changed.csv"
+        changed.write_text("\n".join(edited) + "\n")
+        rc = main(["evaluate", "--results", str(changed), "--dataset", str(workspace["dataset"])])
+        assert rc == EXIT_DATA
+        frame, point = lines[culprit].split(",")[:2]
+        assert (
+            f"results file {changed} holds {len(edited)} lines for the {len(lines)} queries of "
+            f"{workspace['dataset']}: query point={point} frame={frame} is {problem}"
+        ) in capsys.readouterr().err
+
 
 class TestTrainVocabK:
     @staticmethod
@@ -287,6 +307,31 @@ class TestCorruptDataset:
         ) in capsys.readouterr().err
         assert not (tmp_path / "db.bin").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("fov_deg = nan", "fov_deg = nan is not finite"),
+         ("resolution = 0", "focal lengths must be positive")],
+    )
+    def test_manifest_camera_out_of_range_is_data_error(
+        self, workspace, tmp_path, capsys, setting, message
+    ):
+        ds, _ = self.copy(workspace, tmp_path)
+        manifest = ds / "manifest.txt"
+        key = setting.split()[0]
+        manifest.write_text(
+            "".join(
+                f"{setting}\n" if line.startswith(f"{key} =") else line
+                for line in manifest.read_text().splitlines(keepends=True)
+            )
+        )
+        rc = main(
+            ["build-db", "--dataset", str(ds), "--vocab", str(workspace["vocab"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_DATA
+        assert f"corrupt manifest {manifest}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "db.bin").exists()
+
     @pytest.mark.parametrize("field, value", [(3, "x"), (3, "2"), (4, "abc"), (13, "nan")])
     def test_corrupt_results_is_data_error(self, workspace, tmp_path, capsys, field, value):
         lines = workspace["results"].read_text().splitlines()
@@ -375,6 +420,17 @@ class TestUsageErrors:
         )
         assert rc == EXIT_USAGE
         assert "'mutual' on line 2" in capsys.readouterr().err
+
+    def test_duplicate_config_key_is_usage_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("method = gnc\nmethod = umeyama\n")
+        rc = main(
+            ["build-db", "--dataset", str(workspace["dataset"]),
+             "--vocab", str(workspace["vocab"]), "--config", str(bad),
+             "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_USAGE
+        assert "duplicate config key 'method' on line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line", ["max_keypoints = -1", "fast_threshold = 40000", "ratio = 1.5", "icp_iters = -1"]

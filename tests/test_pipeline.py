@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import lift_cloud_scalar, lift_matches_scalar
 
 from pointloc import pipeline
@@ -67,6 +69,20 @@ def vocab(dataset):
 @pytest.fixture(scope="module")
 def db(dataset, vocab):
     return build_database(dataset, vocab, PipelineConfig(), PARAMS.intrinsics())
+
+
+# values for each key of the hand-listed config table, mostly ones its parser takes
+CONFIG_VALUES = {
+    str: ("vlad", "bow", "gnc", "umeyama", "ransac+icp", "test-rig", ""),
+    int: ("1", "3", "20", "1000", "-1", "0.5"),
+    float: ("0.7", "1", "1e-6", "0.05", "nan", "x"),
+    pipeline._parse_bool: ("true", "off", "1", "maybe"),
+}
+config_lines = st.sampled_from([*oracles.CONFIG_PARSERS, "bogus"]).flatmap(
+    lambda key: st.tuples(
+        st.just(key), st.sampled_from(CONFIG_VALUES[oracles.CONFIG_PARSERS.get(key, str)])
+    )
+)
 
 
 class TestConfig:
@@ -134,6 +150,49 @@ class TestConfig:
             for text in ("", "2", "treu", "y", "disabled"):
                 with pytest.raises(ValueError, match=f"'{key}' on line 2"):
                     parse_config(f"ratio = 0.7\n{key} = {text}\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="duplicate config key 'method' on line 3"):
+            parse_config("method = gnc\nratio = 0.7\nmethod = umeyama\n")
+
+    def test_parsers_follow_the_fields(self):
+        """One parser per PipelineConfig field, in field order, as the
+        hand-listed table had them."""
+        assert list(pipeline._CONFIG_PARSERS.items()) == list(oracles.CONFIG_PARSERS.items())
+
+    def test_readme_block_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("The config file is `key = value` text", 1)[1]
+        block = block.split("```\n", 2)[1]
+        assert parse_config(block) == PipelineConfig()
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
+        assert keys == [f.name for f in fields(PipelineConfig)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(config_lines, max_size=6),
+        edit=st.sampled_from(["none", "cut", "flip"]),
+        at=st.integers(0, 2**32),
+        bit=st.integers(0, 7),
+    )
+    def test_same_value_or_error_as_listed_parsers(self, lines, edit, at, bit):
+        data = bytearray("".join(f"{k} = {v}\n" for k, v in lines).encode("ascii"))
+        if edit == "cut" and data:
+            data = data[: at % len(data)]
+        elif edit == "flip" and data:
+            data[at % len(data)] ^= 1 << bit
+        text = data.decode("latin-1")
+        outcomes = []
+        for parse in (oracles.parse_config, parse_config):
+            try:
+                outcomes.append(parse(text))
+            except ValueError as e:
+                outcomes.append(e)
+        listed, derived = outcomes
+        if isinstance(derived, PipelineConfig):
+            assert derived == listed
+        elif isinstance(listed, PipelineConfig):  # the one check the listed parser lacked
+            assert str(derived).startswith("duplicate config key"), derived
 
 
 class TestBuildDatabase:
