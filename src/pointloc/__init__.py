@@ -12,9 +12,7 @@ from pointloc.geometry import (
     backproject,
     compose,
     intrinsics_from_fov,
-    inverse,
     rotation_error,
-    transform_point,
     translation_error,
 )
 
@@ -27,9 +25,7 @@ __all__ = [
     "backproject",
     "compose",
     "intrinsics_from_fov",
-    "inverse",
     "rotation_error",
-    "transform_point",
     "translation_error",
     "__version__",
 ]

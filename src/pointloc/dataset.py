@@ -81,14 +81,8 @@ class GenerationParams:
 @dataclass(frozen=True)
 class PointGroup:
     point_id: int
-    center: np.ndarray
     database_frames: tuple[Frame, ...]
     query_frames: tuple[Frame, ...]
-
-    def __post_init__(self) -> None:
-        c = np.array(self.center, dtype=np.float64).reshape(3)
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
 
     def frames(self) -> Iterator[Frame]:
         yield from self.database_frames
@@ -167,24 +161,7 @@ def generate_point_frames(
         )
         query_frames.append(frame)
 
-    return PointGroup(point.point_id, center, tuple(db_frames), tuple(query_frames))
-
-
-def _generate_groups(
-    seed: int, params: GenerationParams, scene_index: int
-) -> tuple[SceneModel, Iterator[PointGroup]]:
-    """One scene and a lazy stream of its point groups."""
-    scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
-    grid = generate_point_grid(scene, params.grid_spacing, params.camera_height)
-    return scene, (generate_point_frames(scene, gp, params, seed, scene_index) for gp in grid)
-
-
-def generate_scene_dataset(
-    seed: int, params: GenerationParams, scene_index: int = 0
-) -> tuple[SceneModel, list[PointGroup]]:
-    """Generate one scene and all its point groups (in memory)."""
-    scene, groups = _generate_groups(seed, params, scene_index)
-    return scene, list(groups)
+    return PointGroup(point.point_id, tuple(db_frames), tuple(query_frames))
 
 
 def generate_dataset_to_dir(
@@ -195,8 +172,7 @@ def generate_dataset_to_dir(
     One scene is written into `directory` itself; params.scenes > 1 scenes
     go to scene_<i>/ under it, next to an aggregate manifest.  Keeps at most
     one point group in memory, so full-size datasets (about 1 GB of rasters)
-    generate in bounded space.  Frames hold the bytes of the in-memory
-    generate_scene_dataset() groups.
+    generate in bounded space.
     """
     directory = Path(directory)
     if params.scenes == 1:
@@ -223,12 +199,13 @@ def _generate_scene_to_dir(
     seed: int, params: GenerationParams, directory: Path, scene_index: int
 ) -> DatasetManifest:
     directory.mkdir(parents=True, exist_ok=True)
-    scene, groups = _generate_groups(seed, params, scene_index)
+    scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
     (directory / "scene.txt").write_text(scene_to_text(scene), encoding="ascii")
 
     points = poses = 0
     seen_instances: set[int] = set()
-    for group in groups:
+    for point in generate_point_grid(scene, params.grid_spacing, params.camera_height):
+        group = generate_point_frames(scene, point, params, seed, scene_index)
         for f in group.database_frames:
             write_frame(f, directory / "points" / str(group.point_id))
         for f in group.query_frames:
@@ -357,6 +334,7 @@ def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool)
 # --- manifest ----------------------------------------------------------------
 
 
+_MANIFEST_FORMAT = "pointloc-dataset-v1"
 _COUNTS = ("seed", "maps", "points", "poses", "categories", "instances")
 
 
@@ -377,7 +355,7 @@ def _settings(params: GenerationParams) -> list[tuple[str, type, object]]:
 
 
 def manifest_to_text(m: DatasetManifest) -> str:
-    lines = ["format = pointloc-dataset-v1", *(f"{key} = {getattr(m, key)}" for key in _COUNTS)]
+    lines = [f"format = {_MANIFEST_FORMAT}", *(f"{key} = {getattr(m, key)}" for key in _COUNTS)]
     for key, kind, value in _settings(m.params):
         lines.append(f"{key} = {value:.17g}" if kind is float else f"{key} = {value}")
     lines.append(f"scenes = {len(m.scenes)}")
@@ -388,9 +366,10 @@ def manifest_to_text(m: DatasetManifest) -> str:
 
 def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest:
     """Parse what manifest_to_text writes: blank lines aside, every line is
-    a known `key = value`, each once, with scenes = N followed by exactly
-    the lines scene_0 to scene_<N-1>.  Settings must be finite and describe
-    a camera intrinsics_from_fov accepts."""
+    a known `key = value`, each once, with format = the one format the
+    writer emits and scenes = N followed by exactly the lines scene_0 to
+    scene_<N-1>.  Settings must be finite and describe a camera
+    intrinsics_from_fov accepts."""
     settings = _settings(GenerationParams())
     known = {"format", "scenes", *_COUNTS, *(key for key, _, _ in settings)}
     kv: dict[str, str] = {}
@@ -407,6 +386,8 @@ def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest
         kv[key] = value
         scene_lines += scene
     try:
+        if kv["format"] != _MANIFEST_FORMAT:
+            raise ValueError(f"format {kv['format']!r} is not {_MANIFEST_FORMAT}")
         values = {}
         for key, kind, _ in settings:
             values[key] = kind(kv[key])
@@ -494,8 +475,7 @@ def iter_point_groups(root: str | Path) -> Iterator[PointGroup]:
             queries = [read_frame(q_dir, gid, k, False) for k in _frame_ids(q_dir, "q")]
             if not db:
                 raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
-            center = db[0].pose.translation.copy()
-            yield PointGroup(gid, center, tuple(db), tuple(queries))
+            yield PointGroup(gid, tuple(db), tuple(queries))
 
 
 def query_poses(root: str | Path) -> dict[tuple[int, int], Pose]:

@@ -46,7 +46,6 @@ class RecallRow:
 
 @dataclass
 class RecallTable:
-    thresholds: tuple[tuple[float, float], ...] = THRESHOLDS
     rows: dict[str, RecallRow] = field(default_factory=dict)
 
     def add(self, name: str, row: RecallRow) -> None:

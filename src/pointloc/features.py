@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -76,21 +77,16 @@ def to_grayscale(rgb: np.ndarray) -> np.ndarray:
     return np.rint(gray).astype(np.uint8)
 
 
-_ARC_LUT: np.ndarray | None = None
-
-
+@cache
 def _arc_lut() -> np.ndarray:
     """Lookup table: 16-bit circle mask -> has a circular run of >= 9 set bits."""
-    global _ARC_LUT
-    if _ARC_LUT is None:
-        codes = np.arange(65536, dtype=np.uint32)
-        bits = ((codes[:, None] >> np.arange(16)[None, :]) & 1).astype(bool)
-        doubled = np.concatenate([bits, bits], axis=1)
-        ok = np.zeros(65536, dtype=bool)
-        for start in range(16):
-            ok |= doubled[:, start : start + ARC_LENGTH].all(axis=1)
-        _ARC_LUT = ok
-    return _ARC_LUT
+    codes = np.arange(65536, dtype=np.uint32)
+    bits = ((codes[:, None] >> np.arange(16)[None, :]) & 1).astype(bool)
+    doubled = np.concatenate([bits, bits], axis=1)
+    ok = np.zeros(65536, dtype=bool)
+    for start in range(16):
+        ok |= doubled[:, start : start + ARC_LENGTH].all(axis=1)
+    return ok
 
 
 def detect(gray: np.ndarray, max_keypoints: int = 1000, threshold: int = FAST_THRESHOLD) -> Keypoints:
@@ -155,17 +151,12 @@ def _empty_keypoints() -> Keypoints:
     )
 
 
-_DISC_OFFSETS: np.ndarray | None = None
-
-
+@cache
 def _disc_offsets() -> np.ndarray:
-    global _DISC_OFFSETS
-    if _DISC_OFFSETS is None:
-        r = ORIENTATION_RADIUS
-        dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
-        mask = dx * dx + dy * dy <= r * r
-        _DISC_OFFSETS = np.stack([dx[mask], dy[mask]], axis=1)
-    return _DISC_OFFSETS
+    r = ORIENTATION_RADIUS
+    dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
+    mask = dx * dx + dy * dy <= r * r
+    return np.stack([dx[mask], dy[mask]], axis=1)
 
 
 def _intensity_centroid_orientation(gray: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -201,24 +192,19 @@ def _build_pattern() -> np.ndarray:
     return pairs
 
 
-_ROTATED_PATTERNS: np.ndarray | None = None
-
-
+@cache
 def _rotated_patterns() -> np.ndarray:
     """(ORIENTATION_BINS, 256, 4) integer pattern, rotated per bin."""
-    global _ROTATED_PATTERNS
-    if _ROTATED_PATTERNS is None:
-        base = _build_pattern()
-        out = np.zeros((ORIENTATION_BINS, DESCRIPTOR_BITS, 4), dtype=np.int64)
-        for b in range(ORIENTATION_BINS):
-            theta = 2.0 * math.pi * b / ORIENTATION_BINS
-            c, s = math.cos(theta), math.sin(theta)
-            for col in (0, 2):
-                x, y = base[:, col], base[:, col + 1]
-                out[b, :, col] = np.rint(c * x - s * y)
-                out[b, :, col + 1] = np.rint(s * x + c * y)
-        _ROTATED_PATTERNS = out
-    return _ROTATED_PATTERNS
+    base = _build_pattern()
+    out = np.zeros((ORIENTATION_BINS, DESCRIPTOR_BITS, 4), dtype=np.int64)
+    for b in range(ORIENTATION_BINS):
+        theta = 2.0 * math.pi * b / ORIENTATION_BINS
+        c, s = math.cos(theta), math.sin(theta)
+        for col in (0, 2):
+            x, y = base[:, col], base[:, col + 1]
+            out[b, :, col] = np.rint(c * x - s * y)
+            out[b, :, col + 1] = np.rint(s * x + c * y)
+    return out
 
 
 def _box_sum_5x5(gray: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ Conventions shared by the whole repo:
 * Camera frame: +z forward (optical axis), +x right, +y down.
 * Pixel (0, 0) is the top-left pixel; u grows right, v grows down.
 * Depth is z-depth (distance along the optical axis), not ray length.
-* Stored poses are camera-to-world: ``transform_point(pose, p_cam) == p_world``.
+* Stored poses are camera-to-world: ``transform_points(pose, p_cam) == p_world``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ __all__ = [
     "Pose",
     "CameraIntrinsics",
     "compose",
-    "inverse",
     "translation_error",
     "rotation_error",
-    "transform_point",
     "transform_points",
     "intrinsics_from_fov",
     "backproject",
-    "project",
     "pose_to_text",
     "pose_from_text",
 ]
@@ -67,16 +64,6 @@ class UnitQuaternion:
     @staticmethod
     def identity() -> "UnitQuaternion":
         return UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_axis_angle(axis, angle_rad: float) -> "UnitQuaternion":
-        axis = np.asarray(axis, dtype=np.float64)
-        n = float(np.linalg.norm(axis))
-        if n == 0.0:
-            raise ValueError("axis must be nonzero")
-        half = 0.5 * angle_rad
-        s = math.sin(half) / n
-        return UnitQuaternion(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
 
     @staticmethod
     def from_rotation_matrix(r: np.ndarray) -> "UnitQuaternion":
@@ -125,9 +112,6 @@ class UnitQuaternion:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
 
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
     def rotation_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
         return np.array(
@@ -144,9 +128,6 @@ class UnitQuaternion:
         q = np.array([self.x, self.y, self.z])
         t = 2.0 * np.cross(q, v)
         return v + self.w * t + np.cross(q, t)
-
-    def dot(self, other: "UnitQuaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
 
 
 def _leading_component_negative(x: float, y: float, z: float) -> bool:
@@ -182,23 +163,12 @@ class Pose:
     def identity() -> "Pose":
         return Pose(UnitQuaternion.identity(), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4, dtype=np.float64)
-        m[:3, :3] = self.rotation.rotation_matrix()
-        m[:3, 3] = self.translation
-        return m
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Pose applying b first, then a (matrix product a @ b)."""
     q = a.rotation.multiply(b.rotation)
     t = a.rotation.rotate(b.translation) + a.translation
     return Pose(q, t)
-
-
-def inverse(p: Pose) -> Pose:
-    q = p.rotation.conjugate()
-    return Pose(q, -q.rotate(p.translation))
 
 
 def translation_error(a: Pose, b: Pose) -> float:
@@ -223,10 +193,6 @@ def rotation_error(a: Pose, b: Pose) -> float:
     )
     s = min(diff, summ)  # pick the hemisphere where |dot| = 1 - s^2/2
     return math.degrees(4.0 * math.asin(min(1.0, 0.5 * s)))
-
-
-def transform_point(p: Pose, x) -> np.ndarray:
-    return p.rotation.rotate(x) + p.translation
 
 
 def transform_points(p: Pose, xs: np.ndarray) -> np.ndarray:
@@ -269,14 +235,6 @@ def backproject(pixel, depth: float, k: CameraIntrinsics) -> np.ndarray:
         raise ValueError(f"invalid depth {depth}; must be > 0")
     u, v = float(pixel[0]), float(pixel[1])
     return np.array([depth * (u - k.cx) / k.fx, depth * (v - k.cy) / k.fy, depth])
-
-
-def project(point, k: CameraIntrinsics) -> np.ndarray:
-    """Project a camera-frame point to pixel coordinates (u, v)."""
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    if z <= 0.0:
-        raise ValueError("point must be in front of the camera (z > 0)")
-    return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
 
 
 def pose_to_text(p: Pose) -> str:

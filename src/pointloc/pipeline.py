@@ -226,10 +226,12 @@ def build_database(
     intrinsics: CameraIntrinsics,
 ) -> LocalizationDatabase:
     """Precompute features, words, keypoint depths and the retrieval index
-    over every database frame (6 per point), in (point, yaw) order.  The
-    index embeds config.retrieval; every frame must match the camera."""
+    over every database frame (6 per point).  Frame ids follow the input
+    order, which iter_point_groups gives by point id; one group is read at
+    a time.  The index embeds config.retrieval; every frame must match the
+    camera."""
     frames: list[DatabaseFrame] = []
-    for group in sorted(dataset, key=lambda g: g.point_id):
+    for group in dataset:
         for f in group.database_frames:
             _check_camera(f, intrinsics)
             xy, desc = extract_frame_features(f, config)

@@ -50,8 +50,6 @@ class RegistrationResult:
     pose: Pose
     inlier_indices: np.ndarray
     iterations: int
-    converged: bool
-    mean_inlier_residual: float
     residual_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -262,15 +260,7 @@ def ransac_register(
     mask = _residuals(pose, q, d) < inlier_threshold
     if mask.sum() < 3:
         pose, mask = best_pose, best_mask
-    residuals = _residuals(pose, q, d)
-    inliers = np.nonzero(mask)[0]
-    return RegistrationResult(
-        pose=pose,
-        inlier_indices=inliers,
-        iterations=iterations,
-        converged=True,
-        mean_inlier_residual=float(residuals[inliers].mean()),
-    )
+    return RegistrationResult(pose=pose, inlier_indices=np.nonzero(mask)[0], iterations=iterations)
 
 
 def icp_refine(
@@ -303,7 +293,6 @@ def icp_refine(
     pose = init
     nn, keep, mean_res = associate(pose)
     history = [mean_res]
-    converged = False
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
@@ -313,20 +302,16 @@ def icp_refine(
             break
         nn2, keep2, mean2 = associate(cand)
         if mean2 > history[-1] + 1e-15:
-            converged = True  # no further improvement possible from here
-            break
+            break  # no further improvement possible from here
         pose, nn, keep = cand, nn2, keep2
         history.append(mean2)
         if history[-2] - history[-1] < tol:
-            converged = True
             break
 
     return RegistrationResult(
         pose=pose,
         inlier_indices=np.nonzero(keep)[0],
         iterations=iterations,
-        converged=converged,
-        mean_inlier_residual=history[-1],
         residual_history=tuple(history),
     )
 
@@ -452,16 +437,13 @@ def gnc_tls_register(
         pose = umeyama(q[inliers], d[inliers])
     except DegenerateConfigurationError:
         pass
-    residuals = _residuals(pose, q, d)
-    final_mask = residuals**2 <= eps2
+    final_mask = _residuals(pose, q, d) ** 2 <= eps2
     if final_mask.sum() >= 3:
         inliers = np.nonzero(final_mask)[0]
     return RegistrationResult(
         pose=pose,
         inlier_indices=inliers,
         iterations=iterations,
-        converged=True,
-        mean_inlier_residual=float(residuals[inliers].mean()),
         residual_history=tuple(history),
     )
 

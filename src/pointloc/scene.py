@@ -182,7 +182,6 @@ def _footprint_distance(fp, node) -> float:
 class GridPoint:
     point_id: int
     position: np.ndarray
-    status: int = 1
 
     def __post_init__(self) -> None:
         p = np.array(self.position, dtype=np.float64).reshape(3)
@@ -228,12 +227,6 @@ def camera_pose(position, yaw: float) -> Pose:
         ]
     )
     return Pose(UnitQuaternion.from_rotation_matrix(r), np.asarray(position, dtype=np.float64))
-
-
-def camera_yaw(pose: Pose) -> float:
-    """Yaw (radians in [0, 2pi)) of an upright camera pose."""
-    forward = pose.rotation.rotation_matrix()[:, 2]
-    return float(math.atan2(forward[1], forward[0]) % (2.0 * math.pi))
 
 
 # --- scene text serialization -------------------------------------------------

@@ -1,12 +1,81 @@
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pointloc.geometry import Pose, UnitQuaternion
+from pointloc.dataset import (
+    GenerationParams,
+    PointGroup,
+    _scene_seed,
+    generate_point_frames,
+)
+from pointloc.geometry import CameraIntrinsics, Pose, UnitQuaternion
+from pointloc.scene import SceneModel, generate_point_grid, generate_scene
+
+# --- geometry and dataset helpers only tests use ------------------------------
+
+
+def from_axis_angle(axis, angle_rad: float) -> UnitQuaternion:
+    axis = np.asarray(axis, dtype=np.float64)
+    n = float(np.linalg.norm(axis))
+    if n == 0.0:
+        raise ValueError("axis must be nonzero")
+    half = 0.5 * angle_rad
+    s = math.sin(half) / n
+    return UnitQuaternion(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
+
+
+def quaternion_dot(a: UnitQuaternion, b: UnitQuaternion) -> float:
+    return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+
+
+def pose_matrix(p: Pose) -> np.ndarray:
+    """The 4x4 homogeneous matrix of a pose."""
+    m = np.eye(4, dtype=np.float64)
+    m[:3, :3] = p.rotation.rotation_matrix()
+    m[:3, 3] = p.translation
+    return m
+
+
+def inverse(p: Pose) -> Pose:
+    q = UnitQuaternion(p.rotation.w, -p.rotation.x, -p.rotation.y, -p.rotation.z)
+    return Pose(q, -q.rotate(p.translation))
+
+
+def transform_point(p: Pose, x) -> np.ndarray:
+    return p.rotation.rotate(x) + p.translation
+
+
+def project(point, k: CameraIntrinsics) -> np.ndarray:
+    """Project a camera-frame point to pixel coordinates (u, v)."""
+    x, y, z = float(point[0]), float(point[1]), float(point[2])
+    if z <= 0.0:
+        raise ValueError("point must be in front of the camera (z > 0)")
+    return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
+
+
+def camera_yaw(pose: Pose) -> float:
+    """Yaw (radians in [0, 2pi)) of an upright camera pose."""
+    forward = pose.rotation.rotation_matrix()[:, 2]
+    return float(math.atan2(forward[1], forward[0]) % (2.0 * math.pi))
+
+
+def generate_scene_dataset(
+    seed: int, params: GenerationParams, scene_index: int = 0
+) -> tuple[SceneModel, list[PointGroup]]:
+    """One scene and all its point groups in memory, as generate_dataset_to_dir
+    renders them."""
+    scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
+    grid = generate_point_grid(scene, params.grid_spacing, params.camera_height)
+    return scene, [generate_point_frames(scene, gp, params, seed, scene_index) for gp in grid]
+
+
+# --- hypothesis strategies and fixtures ---------------------------------------
+
 
 finite_component = st.floats(
     min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False

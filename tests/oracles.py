@@ -177,14 +177,11 @@ def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):
     mask = reg._residuals(pose, q, d) < inlier_threshold
     if mask.sum() < 3:
         pose, mask = best_pose, best_mask
-    residuals = reg._residuals(pose, q, d)
     inliers = np.nonzero(mask)[0]
     return reg.RegistrationResult(
         pose=pose,
         inlier_indices=inliers,
         iterations=iterations,
-        converged=True,
-        mean_inlier_residual=float(residuals[inliers].mean()),
     )
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import camera_yaw
 from oracles import DenseRetrievalIndex, assert_same_as_dense, ray_box_z_depth
 
 import pointloc
@@ -63,7 +64,7 @@ from pointloc.registration import (
 )
 from pointloc.render import DEPTH_LEVELS
 from pointloc.retrieval import RetrievalIndex, assign_words, query_top1, query_topk
-from pointloc.scene import SceneParams, camera_yaw
+from pointloc.scene import SceneParams
 
 SEED = 7
 PARAMS = GenerationParams(queries_per_point=50, noise_factor=0.0)
@@ -129,11 +130,12 @@ class TestCriterion1DatasetConstruction:
             for i, y in enumerate(yaws):
                 expected = (yaws[0] + math.radians(60.0) * i) % (2 * math.pi)
                 assert abs((y - expected + math.pi) % (2 * math.pi) - math.pi) < 1e-9
+            center = group.database_frames[0].pose.translation
             for f in group.database_frames:
-                assert np.allclose(f.pose.translation, group.center)
+                assert np.allclose(f.pose.translation, center)
             assert len(group.query_frames) <= 50
             for f in group.query_frames:
-                offset = f.pose.translation[:2] - group.center[:2]
+                offset = f.pose.translation[:2] - center[:2]
                 assert np.linalg.norm(offset) <= 0.5 + 1e-12
             for f in group.frames():
                 assert f.pose.translation[2] == pytest.approx(1.25)

@@ -332,6 +332,26 @@ class TestCorruptDataset:
         assert f"corrupt manifest {manifest}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "db.bin").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("format = pointloc-dataset-v9\n", "'pointloc-dataset-v9' is not pointloc-dataset-v1"),
+         ("", "'format'")],
+        ids=["other-version", "missing"],
+    )
+    def test_manifest_format_line_is_data_error(self, workspace, tmp_path, capsys, line, message):
+        ds, _ = self.copy(workspace, tmp_path)
+        manifest = ds / "manifest.txt"
+        text = manifest.read_text()
+        manifest.write_text(text.replace("format = pointloc-dataset-v1\n", line))
+        rc = main(
+            ["build-db", "--dataset", str(ds), "--vocab", str(workspace["vocab"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"corrupt manifest {manifest}: " in err and message in err
+        assert not (tmp_path / "db.bin").exists()
+
     @pytest.mark.parametrize("field, value", [(3, "x"), (3, "2"), (4, "abc"), (13, "nan")])
     def test_corrupt_results_is_data_error(self, workspace, tmp_path, capsys, field, value):
         lines = workspace["results"].read_text().splitlines()

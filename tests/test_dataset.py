@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import camera_yaw, generate_scene_dataset
+
 from pointloc.dataset import (
     SCENE_POINT_ID_STRIDE,
     DatasetFormatError,
@@ -19,7 +21,6 @@ from pointloc.dataset import (
     SceneSummary,
     generate_dataset_to_dir,
     generate_point_frames,
-    generate_scene_dataset,
     iter_point_groups,
     load_dataset,
     load_scene_model,
@@ -36,7 +37,6 @@ from pointloc.scene import (
     GridPoint,
     SceneModel,
     SceneParams,
-    camera_yaw,
     generate_point_grid,
     generate_scene,
 )
@@ -83,7 +83,7 @@ class TestGeneratePointFrames:
         _, groups = small_dataset
         for g in groups:
             for f in g.database_frames:
-                assert np.allclose(f.pose.translation, g.center)
+                assert np.allclose(f.pose.translation, g.database_frames[0].pose.translation)
 
     def test_yaw_coverage_360(self, small_dataset):
         # 6 frames x 90 deg fov at 60 deg spacing jointly cover the circle
@@ -101,7 +101,7 @@ class TestGeneratePointFrames:
         for g in groups:
             assert len(g.query_frames) <= SMALL.queries_per_point
             for f in g.query_frames:
-                offset = f.pose.translation[:2] - g.center[:2]
+                offset = f.pose.translation[:2] - g.database_frames[0].pose.translation[:2]
                 assert np.linalg.norm(offset) <= SMALL.query_radius + 1e-12
 
     def test_query_poses_not_inside_obstacles(self, small_dataset):
@@ -319,6 +319,24 @@ class TestManifest:
         with pytest.raises(DatasetFormatError, match="depth_max 5 is not"):
             manifest_from_text(text.replace("depth_max = 10\n", "depth_max = 5\n"))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("format = pointloc-dataset-v9\n", "'pointloc-dataset-v9' is not pointloc-dataset-v1"),
+            ("", "'format'"),
+        ],
+        ids=["other-version", "missing"],
+    )
+    def test_format_line_required(self, line, message):
+        """Only the format line the writer emits names a manifest this code
+        reads; another version, or none, is rejected naming the file."""
+        m = DatasetManifest(9, (SceneSummary("scene_0", 1, 2, 3),), 2, 3, 0, 0, 1, GenerationParams())
+        text = manifest_to_text(m)
+        assert text.startswith("format = pointloc-dataset-v1\n")
+        assert manifest_from_text(text, "m.txt") == m
+        with pytest.raises(DatasetFormatError, match=f"m.txt: .*{message}"):
+            manifest_from_text(text.replace("format = pointloc-dataset-v1\n", line), "m.txt")
+
     def test_written_manifests_load(self, tmp_path):
         for scenes in (1, 2):
             params = replace(TINY, scenes=scenes, queries_per_point=1)
@@ -451,6 +469,7 @@ sound_manifests = _manifests(
 GAINED_CHECKS = re.compile(
     r"is not finite|'scenes'|scene_<i> lines for|'scene_\d+'"
     r"|fov must be|focal lengths must be positive|too large|division by zero"
+    r"|'format'|is not pointloc-dataset-v1"
 )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pose
+from conftest import from_axis_angle, random_pose
 
 from pointloc.evaluation import (
     CSV_HEADER,
@@ -24,13 +24,13 @@ from pointloc.evaluation import (
     render_timing_markdown,
     timing_report,
 )
-from pointloc.geometry import Pose, UnitQuaternion
+from pointloc.geometry import Pose
 from pointloc.pipeline import LocalizationResult, StageTimings
 
 
 def pose_with_error(gt: Pose, t_err: float, r_err_deg: float) -> Pose:
     offset = np.array([t_err, 0.0, 0.0])
-    rot = UnitQuaternion.from_axis_angle([0, 0, 1], math.radians(r_err_deg))
+    rot = from_axis_angle([0, 0, 1], math.radians(r_err_deg))
     return Pose(gt.rotation.multiply(rot), gt.translation + offset)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import camera_yaw, generate_scene_dataset, inverse
 from oracles import lift_cloud_scalar, lift_matches_scalar
 
 from pointloc import pipeline
-from pointloc.dataset import GenerationParams, generate_scene_dataset
+from pointloc.dataset import GenerationParams
 from pointloc.features import DESCRIPTOR_BITS, Match
-from pointloc.geometry import CameraIntrinsics, Pose, compose, inverse, rotation_error, translation_error
+from pointloc.geometry import CameraIntrinsics, Pose, compose, rotation_error, translation_error
 from pointloc.pipeline import (
     INVALID_DEPTH_MAX,
     DatabaseFormatError,
@@ -224,6 +226,25 @@ class TestBuildDatabase:
         with pytest.raises(ValueError):
             build_database([], vocab, PipelineConfig(), PARAMS.intrinsics())
 
+    def test_holds_one_group_at_a_time(self, dataset, vocab):
+        """A group is freed before the one after next is read, so a build
+        holds one Point's rasters, not the dataset's; frames keep the
+        input order, here descending point ids."""
+        chosen = dataset[:4][::-1]
+        held = []
+
+        def groups():
+            for i, g in enumerate(chosen):
+                if i >= 2:
+                    assert held[i - 2]() is None, f"group {i - 2} is still held"
+                group = replace(g)
+                held.append(weakref.ref(group))
+                yield group
+
+        built = build_database(groups(), vocab, PipelineConfig(), PARAMS.intrinsics())
+        expected = [f.pose for g in chosen for f in g.database_frames]
+        assert [f.pose for f in built.frames] == expected
+
     def test_index_size_matches_frames(self, db):
         assert len(db.index) == len(db.frames)
 
@@ -291,7 +312,7 @@ class TestLocalize:
         import math
 
         from pointloc.render import render
-        from pointloc.scene import camera_pose, camera_yaw
+        from pointloc.scene import camera_pose
 
         scene = scene_and_groups[0]
         group = dataset[0]

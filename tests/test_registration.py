@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pose
+from conftest import from_axis_angle, inverse, random_pose
 from oracles import gnc_start_scalar, ransac_scalar
 
 from pointloc import registration
@@ -14,7 +14,6 @@ from pointloc.geometry import (
     Pose,
     UnitQuaternion,
     compose,
-    inverse,
     rotation_error,
     transform_points,
     translation_error,
@@ -140,7 +139,7 @@ class TestRansac:
         res = ransac_register(q, d, inlier_threshold=0.05, seed=0)
         assert_pose_close(res.pose, plain, 1e-9, 1e-7)
         assert len(res.inlier_indices) == 50
-        assert res.converged
+        assert res.iterations == 1  # the first hypothesis holds every point
 
     def test_recovers_under_60_percent_outliers(self):
         for seed in range(20):
@@ -154,7 +153,6 @@ class TestRansac:
         res = ransac_register(q, d, inlier_threshold=0.05, seed=3)
         resid = np.linalg.norm(transform_points(res.pose, q) - d, axis=1)
         assert np.all(resid[res.inlier_indices] < 0.05)
-        assert res.mean_inlier_residual <= 0.05
 
     def test_two_points_rejected(self, rng):
         q = make_cloud(rng, 2)
@@ -187,7 +185,6 @@ def assert_same_result(got, want):
     assert (r.w, r.x, r.y, r.z) == (w.w, w.x, w.y, w.z)
     assert np.array_equal(got.inlier_indices, want.inlier_indices)
     assert got.iterations == want.iterations
-    assert got.mean_inlier_residual == want.mean_inlier_residual
 
 
 def outcome(solve, *args, **kwargs):
@@ -244,7 +241,7 @@ class TestRansacEquivalence:
         """Forty points on a line plus one just off it: the 3-point fits
         through the off-line point are not degenerate, the refit on all 41
         inliers is, so the winning 3-point pose itself is returned."""
-        gt = Pose(UnitQuaternion.from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
+        gt = Pose(from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
         q = np.zeros((41, 3))
         q[:40, 0] = np.linspace(-5.0, 5.0, 40)
         q[40] = (0.3, 5e-4, 0.0)
@@ -275,7 +272,6 @@ class TestIcp:
     def test_identical_clouds_identity_one_iteration(self, rng):
         cloud = make_cloud(rng, 200)
         res = icp_refine(cloud, cloud, Pose.identity())
-        assert res.converged
         assert res.iterations == 1
         assert_pose_close(res.pose, Pose.identity(), 1e-12, 1e-9)
 
@@ -283,7 +279,7 @@ class TestIcp:
         """5 degree / 0.1 m perturbation recovered on a rendered back-projection cloud."""
         cloud = rendered_backprojection_cloud(rng, 500)
         gt = Pose(
-            UnitQuaternion.from_axis_angle(rng.normal(size=3), np.radians(5.0)),
+            from_axis_angle(rng.normal(size=3), np.radians(5.0)),
             rng.normal(size=3) * (0.1 / np.sqrt(3)),
         )
         moved = transform_points(gt, cloud)
@@ -303,22 +299,24 @@ class TestIcp:
     def test_residual_history_monotone(self, rng):
         cloud = rendered_backprojection_cloud(rng, 400)
         gt = Pose(
-            UnitQuaternion.from_axis_angle([0, 0, 1], np.radians(4.0)),
+            from_axis_angle([0, 0, 1], np.radians(4.0)),
             np.array([0.08, -0.03, 0.02]),
         )
         res = icp_refine(cloud, transform_points(gt, cloud), Pose.identity(), max_iters=50)
         hist = res.residual_history
         assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
-    def test_iteration_cap_sets_converged_false(self, rng):
+    def test_iteration_cap_stops_early(self, rng):
         cloud = rendered_backprojection_cloud(rng, 300)
         gt = Pose(
-            UnitQuaternion.from_axis_angle([0, 1, 0], np.radians(5.0)),
+            from_axis_angle([0, 1, 0], np.radians(5.0)),
             np.array([0.1, 0.05, -0.02]),
         )
-        res = icp_refine(cloud, transform_points(gt, cloud), Pose.identity(), max_iters=1, tol=1e-15)
+        moved = transform_points(gt, cloud)
+        res = icp_refine(cloud, moved, Pose.identity(), max_iters=1, tol=1e-15)
         assert res.iterations == 1
-        assert not res.converged
+        assert len(res.residual_history) == 2  # the one step was accepted
+        assert icp_refine(cloud, moved, Pose.identity(), max_iters=50, tol=1e-15).iterations > 1
 
 
 class TestGncTls:
@@ -389,7 +387,6 @@ class TestGncTls:
             assert np.array_equal(got.inlier_indices, want.inlier_indices)
             assert got.residual_history == want.residual_history
             assert got.iterations == want.iterations
-            assert got.mean_inlier_residual == want.mean_inlier_residual
         assert compared >= 40
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -423,7 +420,7 @@ class TestGncTls:
         """n = 3 with the third point moved off the line just far enough that
         umeyama stops calling the triple collinear: every start hypothesis
         sits within rounding of DEGENERACY_RTOL."""
-        gt = Pose(UnitQuaternion.from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
+        gt = Pose(from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
 
         def triple(h):
             q = np.array([[1.3, -0.7, 2.1], [2.3, -0.7, 2.1], [1.8, -0.7 + h, 2.1]])

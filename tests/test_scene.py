@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import camera_yaw, transform_point
+
 from pointloc.dataset import DatasetFormatError, load_scene_model
-from pointloc.geometry import transform_point
 from pointloc.scene import (
     Box,
     SceneModel,
     SceneParams,
     camera_pose,
-    camera_yaw,
     generate_point_grid,
     generate_scene,
     grid_candidates,
@@ -105,10 +105,9 @@ class TestPointGrid:
         positions = {tuple(gp.position[:2]) for gp in generate_point_grid(scene, 2.0)}
         assert (4.0, 4.0) in positions
 
-    def test_point_ids_sequential_with_status(self):
+    def test_point_ids_sequential(self):
         grid = generate_point_grid(empty_scene(), 2.0)
         assert [gp.point_id for gp in grid] == list(range(len(grid)))
-        assert all(gp.status == 1 for gp in grid)
 
     def test_bad_spacing(self):
         with pytest.raises(ValueError):

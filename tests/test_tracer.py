@@ -50,7 +50,9 @@ PROBE_KEYS = {
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    from pointloc.dataset import GenerationParams, generate_scene_dataset
+    from conftest import generate_scene_dataset
+
+    from pointloc.dataset import GenerationParams
     from pointloc.pipeline import PipelineConfig, train_vocabulary_for_dataset
     from pointloc.scene import SceneParams
 
