@@ -1,6 +1,6 @@
 """Rigid 3D-3D registration: closed-form least squares, RANSAC, trimmed ICP
-refinement, and a graduated non-convexity solver over a truncated-least-squares
-cost for heavy outlier contamination.
+refinement, and, against heavy outlier contamination, graduated non-convexity
+over a truncated-least-squares cost on the maximum consistent clique.
 
 Scale is fixed to 1 everywhere: both point sets come from metric RGB-D
 back-projections.  All solvers return rotations re-orthonormalized through the
@@ -17,8 +17,6 @@ from scipy.spatial import cKDTree
 from pointloc.geometry import Pose, UnitQuaternion, transform_points
 
 GNC_DIVISOR = 1.4
-GNC_INIT_HYPOTHESES = 256
-_GNC_INIT_SEED = 0xD1CE  # internal constant; the solver takes no seed
 DEGENERACY_RTOL = 1e-9
 
 
@@ -334,62 +332,62 @@ def _tls_weights(r2: np.ndarray, eps2: float, mu: float) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def _gnc_start(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost) -> Pose:
-    """Pose of the first start hypothesis with the lowest truncated cost.
+def _colour_classes(cand: int, nbr: list[int], min_colour: int) -> list[tuple[int, int]]:
+    """Greedy colouring of bitset cand, lowest bit first: the (colour, vertex)
+    pairs of colour >= min_colour, colours non-decreasing and each class from
+    its highest bit down, so that popping takes a class lowest bit first.  No
+    clique among a vertex and those listed before it is larger than its colour."""
+    found, colour = [], 0
+    while cand:
+        colour, free, members = colour + 1, cand, []
+        while free:
+            low = free & -free
+            members.append(low.bit_length() - 1)
+            free &= ~(nbr[members[-1]] | low)
+            cand &= ~low
+        if colour >= min_colour:
+            found += [(colour, v) for v in reversed(members)]
+    return found
 
-    Same result, bit for bit, as fitting every 3-point hypothesis with
-    umeyama in draw order, starting from the all-point fit and keeping a
-    hypothesis only when its cost is strictly lower (so the earliest one wins
-    ties).  All hypotheses are fitted at once by _kabsch_stack and scored as
-    one (H, n) cost array; then only those whose cost could be the lowest, or
-    whose degeneracy could go either way, are fitted again by umeyama and
-    scored as before, in draw order.  With dr the residual bound of
-    _kabsch_stack, a truncated cost term min(r^2/eps^2, 1) moves by at most
-    dr (2 eps + 3 dr) / eps^2 plus rounding: err bounds the cost gap.
 
-    A triple drawn again in the same order is fitted only the first time:
-    umeyama gives it the same pose and cost, which is never strictly lower
-    than the best cost once the first fit was scored.  With n = 3 to 6
-    points there are only 6 to 120 ordered triples, and on a wrong
-    retrieval every one of the 256 hypotheses ties and would be refitted.
-    """
-    pose = umeyama(q, d)
-    best_cost = truncated_cost(_residuals(pose, q, d) ** 2)
-    idx = _draw_triples(np.random.default_rng(_GNC_INIT_SEED), len(q), GNC_INIT_HYPOTHESES)
-    res2, fitted, undecided, dr = _kabsch_stack(q, d, idx)
-    cost = np.minimum(res2 / eps2, 1.0).sum(axis=1)
-    err = len(q) * (dr * (2.0 * np.sqrt(eps2) + 3.0 * dr) / eps2 + _C_U)
-    lowest = np.min(np.where(fitted, cost + err, np.inf))
-    rescore = undecided | (fitted & (cost - err <= lowest))
-
-    fitted_triples: set[tuple[int, ...]] = set()
-    for h in np.flatnonzero(rescore):
-        triple = tuple(idx[h].tolist())
-        if triple in fitted_triples:
+def _max_clique(adj: np.ndarray) -> np.ndarray:
+    """Sorted indices of the first maximum clique of adj (its diagonal is
+    ignored) found by Tomita and Seki's branch and bound (MCQ) over Python int
+    bitsets, vertices taken by degree descending, then index ascending, within
+    each colour.  An explicit stack replaces recursion."""
+    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    rows = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
+    nbr = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    best, everything = [], (1 << len(nbr)) - 1
+    stack = [[[], everything, _colour_classes(everything, nbr, 1)]]
+    while stack:
+        clique, cand, branches = frame = stack[-1]
+        if not branches or len(clique) + branches[-1][0] <= len(best):
+            stack.pop()  # the colour bound: this branch cannot beat best
             continue
-        fitted_triples.add(triple)
-        try:
-            cand = umeyama(q[idx[h]], d[idx[h]])
-        except DegenerateConfigurationError:
-            continue
-        c = truncated_cost(_residuals(cand, q, d) ** 2)
-        if c < best_cost:
-            pose, best_cost = cand, c
-    return pose
+        _, v = branches.pop()
+        frame[1] = cand = cand & ~(1 << v)
+        grown, sub = clique + [v], cand & nbr[v]
+        if sub:
+            stack.append([grown, sub, _colour_classes(sub, nbr, len(best) - len(grown) + 1)])
+        elif len(grown) > len(best):  # strictly larger: the first one found wins
+            best = grown
+    return np.sort(order[best])
 
 
 def gnc_tls_register(
     p_query: np.ndarray, p_db: np.ndarray, noise_bound: float
 ) -> RegistrationResult:
-    """Graduated non-convexity over the truncated cost sum(min(r^2/eps^2, 1)).
+    """Maximum consistent clique, then graduated non-convexity (TEASER++).
 
-    Alternates weighted closed-form fits with the closed-form TLS weight
-    update; the control value starts at 2 * (max residual / noise bound)^2 and
-    is divided by 1.4 each outer iteration until it reaches 1.  The anneal is
-    started from the best of a fixed set of internally seeded 3-point
-    hypotheses under the truncated cost (a plain least-squares fit is a poor
-    basin beyond ~60% outliers); the whole solve is deterministic.  The best
-    pose by truncated cost is retained, so the recorded cost never increases.
+    Matches i and j are consistent when their query and db distances differ by
+    at most 2 noise_bound; a clique below 3 points raises RegistrationFailedError
+    and a collinear one DegenerateConfigurationError.  From the clique's
+    umeyama fit, weighted fits alternate with closed-form TLS weights for
+    sum(min(r^2/eps^2, 1)) on the clique as the control value falls from
+    2 (max residual / noise bound)^2 by 1.4 a step to 1, keeping the best pose
+    (the recorded cost never increases).  The inliers, all matches within the
+    noise bound, are refitted once.  Deterministic.
     """
     if noise_bound <= 0:
         raise ValueError("noise_bound must be positive")
@@ -400,12 +398,17 @@ def gnc_tls_register(
     if len(q) < 3:
         raise InsufficientPointsError(f"need at least 3 correspondences, got {len(q)}")
     eps2 = noise_bound * noise_bound
+    dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
+    clique = _max_clique(np.abs(dq - dd) <= 2.0 * noise_bound)
+    if len(clique) < 3:
+        raise RegistrationFailedError(f"the largest consistent clique has {len(clique)} points")
+    qc, dc = q[clique], d[clique]
 
     def truncated_cost(res2: np.ndarray) -> float:
         return float(np.minimum(res2 / eps2, 1.0).sum())
 
-    pose = _gnc_start(q, d, eps2, truncated_cost)
-    r2 = _residuals(pose, q, d) ** 2
+    pose = umeyama(qc, dc)
+    r2 = _residuals(pose, qc, dc) ** 2
     history = [truncated_cost(r2)]
     mu = 2.0 * float(r2.max()) / eps2
     iterations = 0
@@ -413,12 +416,12 @@ def gnc_tls_register(
         iterations += 1
         weights = _tls_weights(r2, eps2, mu)
         try:
-            cand = umeyama(q, d, weights=weights)
+            cand = umeyama(qc, dc, weights=weights)
         except (DegenerateConfigurationError, InsufficientPointsError):
             mu /= GNC_DIVISOR
             history.append(history[-1])
             continue
-        cand_r2 = _residuals(cand, q, d) ** 2
+        cand_r2 = _residuals(cand, qc, dc) ** 2
         cost = truncated_cost(cand_r2)
         if cost <= history[-1] + 1e-15:
             pose, r2 = cand, cand_r2
@@ -427,12 +430,9 @@ def gnc_tls_register(
             history.append(history[-1])  # keep the best pose so far
         mu /= GNC_DIVISOR
 
-    inlier_mask = r2 <= eps2  # weight limit as mu -> 1
-    inliers = np.nonzero(inlier_mask)[0]
+    inliers = np.nonzero(_residuals(pose, q, d) ** 2 <= eps2)[0]
     if len(inliers) < 3:
-        raise RegistrationFailedError(
-            f"only {len(inliers)} correspondences survive the noise bound"
-        )
+        raise RegistrationFailedError(f"{len(inliers)} correspondences survive the noise bound")
     try:
         pose = umeyama(q[inliers], d[inliers])
     except DegenerateConfigurationError:

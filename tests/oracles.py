@@ -6,6 +6,7 @@ formulas) and deliberately avoids calling into the code paths it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -109,25 +110,28 @@ def fast_segment_test(gray: np.ndarray, row: int, col: int, threshold: int) -> b
     return False
 
 
-def gnc_start_scalar(q: np.ndarray, d: np.ndarray, eps2: float, truncated_cost):
-    """GNC start pose by the original per-hypothesis loop: one umeyama fit
-    and one residual pass per seeded 3-point hypothesis, in draw order,
-    keeping a hypothesis only when its truncated cost is strictly lower."""
-    from pointloc import registration as reg
+def consistency_graph_scalar(q: np.ndarray, d: np.ndarray, noise_bound: float) -> np.ndarray:
+    """Pairwise-consistency adjacency by scalar loops: i and j (i != j) are
+    joined when their distances in the two frames differ by at most
+    2 noise_bound."""
+    n = len(q)
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                gap = abs(math.dist(q[i], q[j]) - math.dist(d[i], d[j]))
+                adj[i, j] = gap <= 2.0 * noise_bound
+    return adj
 
-    pose = reg.umeyama(q, d)
-    best_cost = truncated_cost(reg._residuals(pose, q, d) ** 2)
-    hyp_rng = np.random.default_rng(reg._GNC_INIT_SEED)
-    for _ in range(reg.GNC_INIT_HYPOTHESES):
-        idx = hyp_rng.choice(len(q), size=3, replace=False)
-        try:
-            cand = reg.umeyama(q[idx], d[idx])
-        except reg.DegenerateConfigurationError:
-            continue
-        cost = truncated_cost(reg._residuals(cand, q, d) ** 2)
-        if cost < best_cost:
-            pose, best_cost = cand, cost
-    return pose
+
+def max_clique_size_brute(adj: np.ndarray) -> int:
+    """Size of a maximum clique by trying every vertex subset, largest first."""
+    n = len(adj)
+    for size in range(n, 0, -1):
+        for subset in itertools.combinations(range(n), size):
+            if all(adj[i, j] for i, j in itertools.combinations(subset, 2)):
+                return size
+    return 0
 
 
 def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_axis_angle, inverse, random_pose
-from oracles import gnc_start_scalar, ransac_scalar
+from oracles import consistency_graph_scalar, max_clique_size_brute, ransac_scalar
 
 from pointloc import registration
 
@@ -343,106 +346,57 @@ class TestGncTls:
                 passes += 1
         assert passes >= 19
 
-    @staticmethod
-    def solve_both(q, d, monkeypatch):
-        """gnc_tls_register as is, and with the per-hypothesis start loop."""
-        outcomes = []
-        for start in (None, gnc_start_scalar):
-            with monkeypatch.context() as m:
-                if start is not None:
-                    m.setattr(registration, "_gnc_start", start)
-                try:
-                    outcomes.append(gnc_tls_register(q, d, noise_bound=0.05))
-                except RegistrationFailedError as e:
-                    outcomes.append(str(e))
-        return outcomes
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        outlier_fraction=st.floats(0.0, 1.0),
+        noise_bound=st.floats(0.01, 0.5),
+    )
+    def test_max_clique_matches_brute_force(self, n, seed, outlier_fraction, noise_bound):
+        rng = np.random.default_rng(seed)
+        q = make_cloud(rng, n, scale=1.0)
+        d = transform_points(random_pose(rng), q) + rng.normal(scale=noise_bound, size=(n, 3))
+        out = rng.random(n) < outlier_fraction
+        d[out] = make_cloud(rng, int(out.sum()), scale=1.0)
+        adj = consistency_graph_scalar(q, d, noise_bound)
+        clique = registration._max_clique(adj)
+        assert all(adj[i, j] for i, j in itertools.combinations(clique, 2))
+        assert len(clique) == max_clique_size_brute(adj)
+        assert np.array_equal(clique, np.sort(clique))
+        assert np.array_equal(registration._max_clique(adj), clique)
+        # gnc_tls_register passes every point as consistent with itself
+        assert np.array_equal(registration._max_clique(adj | np.eye(n, dtype=bool)), clique)
 
-    @staticmethod
-    def equivalence_cases():
-        rng = np.random.default_rng(77)
-        for i in range(48):
-            n = (3, 4, 6, 12, 40, 90)[i % 6]
-            outliers = (0.0, 0.2, 0.4, 0.6, 0.8)[i % 5]
-            noise = 0.0 if i % 3 else 0.01  # noiseless inliers tie at one cost
-            _, q, d, _ = corrupted_correspondences(rng, n, outliers, noise)
-            if i % 4 == 1 and n > 3:  # repeated points make degenerate hypotheses
-                rep = rng.choice(n, size=n // 3, replace=False)
-                q[rep], d[rep] = q[rep[0]], d[rep[0]]
-            yield q, d
+    def test_tied_maximum_cliques_take_the_fixed_vertex_order(self):
+        """Two 3-cliques share vertices 0 and 1; vertex 2 precedes vertex 3 in
+        the order (degree descending, then index), so {0, 1, 2} wins."""
+        adj = np.zeros((4, 4), dtype=bool)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
+            adj[i, j] = adj[j, i] = True
+        assert registration._max_clique(adj).tolist() == [0, 1, 2]
 
-    def test_start_selection_matches_per_hypothesis_loop(self, monkeypatch):
-        compared = 0
-        for q, d in self.equivalence_cases():
-            try:
-                got, want = self.solve_both(q, d, monkeypatch)
-            except DegenerateConfigurationError:
-                continue  # the all-point fit comes first and is shared
-            compared += 1
-            if isinstance(want, str):
-                assert got == want
-                continue
-            assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
-            r, w = got.pose.rotation, want.pose.rotation
-            assert (r.w, r.x, r.y, r.z) == (w.w, w.x, w.y, w.z)
-            assert np.array_equal(got.inlier_indices, want.inlier_indices)
-            assert got.residual_history == want.residual_history
-            assert got.iterations == want.iterations
-        assert compared >= 40
+    def test_thousand_identical_points(self, rng):
+        """An all-consistent graph at max_keypoints' default size: the search
+        goes 1000 deep without recursing, and every point comes back."""
+        q = make_cloud(rng, 1000)
+        start = time.perf_counter()
+        res = gnc_tls_register(q, q.copy(), noise_bound=0.05)
+        assert time.perf_counter() - start < 30.0
+        assert np.array_equal(res.inlier_indices, np.arange(1000))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_start_fits_each_ordered_triple_once(self, n, monkeypatch):
-        """Unrelated points (a wrong retrieval): every start hypothesis ties,
-        yet each distinct ordered triple is fitted at most once, after the
-        all-point fit, and the pose is still the per-hypothesis loop's."""
-        rng = np.random.default_rng(500 + n)
-        q, d = make_cloud(rng, n), make_cloud(rng, n)
-        eps2 = 0.05**2
+    def test_clique_below_three_points_fails(self, rng):
+        q = make_cloud(rng, 8)
+        with pytest.raises(RegistrationFailedError):
+            gnc_tls_register(q, 3.0 * q, noise_bound=0.05)  # every distance tripled
 
-        def truncated_cost(res2):
-            return float(np.minimum(res2 / eps2, 1.0).sum())
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return umeyama(*args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(registration, "umeyama", counted)
-            got = registration._gnc_start(q, d, eps2, truncated_cost)
-        assert len(calls) <= 1 + n * (n - 1) * (n - 2)
-        want = gnc_start_scalar(q, d, eps2, truncated_cost)
-        assert got.translation.tobytes() == want.translation.tobytes()
-        r, w = got.rotation, want.rotation
-        assert (r.w, r.x, r.y, r.z) == (w.w, w.x, w.y, w.z)
-
-    def test_start_selection_at_degeneracy_threshold(self, monkeypatch):
-        """n = 3 with the third point moved off the line just far enough that
-        umeyama stops calling the triple collinear: every start hypothesis
-        sits within rounding of DEGENERACY_RTOL."""
-        gt = Pose(from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
-
-        def triple(h):
-            q = np.array([[1.3, -0.7, 2.1], [2.3, -0.7, 2.1], [1.8, -0.7 + h, 2.1]])
-            return q, transform_points(gt, q)
-
-        def degenerate(h):
-            try:
-                umeyama(*triple(h))
-            except DegenerateConfigurationError:
-                return True
-            return False
-
-        lo, hi = 1e-12, 1e-3
-        assert degenerate(lo) and not degenerate(hi)
-        while True:
-            mid = np.sqrt(lo * hi) if hi / lo > 1.0001 else 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            lo, hi = (mid, hi) if degenerate(mid) else (lo, mid)
-        got, want = self.solve_both(*triple(hi), monkeypatch)
-        assert got.residual_history == want.residual_history
-        assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+    def test_collinear_clique_is_degenerate(self, rng):
+        gt = random_pose(rng)
+        line = np.outer(np.linspace(-2.0, 2.0, 12), [0.3, -0.4, 0.8])
+        q = np.vstack([line, make_cloud(rng, 2)])
+        d = np.vstack([transform_points(gt, line), make_cloud(rng, 2) + 50.0])
+        with pytest.raises(DegenerateConfigurationError):
+            gnc_tls_register(q, d, noise_bound=0.05)
 
     def test_invalid_noise_bound(self, rng):
         q = make_cloud(rng, 10)

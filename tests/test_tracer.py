@@ -79,8 +79,13 @@ def test_probes_count_on_a_traced_build_and_queries(small_dataset, retrieval, me
 
     groups, vocab, intrinsics = small_dataset
     config = pipeline.PipelineConfig(retrieval=retrieval, method=method)
-    # database frames as queries always register; a real query may not
-    queries = [groups[0].database_frames[0], groups[1].database_frames[3], groups[2].query_frames[0]]
+    # Database frames as queries always register; a real query may not.  GNC
+    # anneals only when a clique point's residual exceeds eps / sqrt(2), which
+    # exact database frames never reach, so the Point-1 query is added for that.
+    queries = [
+        groups[0].database_frames[0], groups[1].database_frames[3],
+        groups[2].query_frames[0], groups[1].query_frames[0],
+    ]
     tracer = tracer_module.Tracer()
     with tracer.installed():
         tracer.phase = "build"
