@@ -18,6 +18,11 @@ from pointloc.geometry import Pose, UnitQuaternion, transform_points
 
 GNC_DIVISOR = 1.4
 DEGENERACY_RTOL = 1e-9
+# Vertices one clique search may colour: real queries colour at most about
+# 7,200, 1,000 all-consistent matches about 500,000.  A count, not a clock,
+# keeps the result determined.
+_CLIQUE_WORK = 1_000_000
+_CLIQUE_TIES_MATCHES = 12  # up to this many matches tied cliques are compared
 
 
 class RegistrationError(Exception):
@@ -350,29 +355,40 @@ def _colour_classes(cand: int, nbr: list[int], min_colour: int) -> list[tuple[in
     return found
 
 
-def _max_clique(adj: np.ndarray) -> np.ndarray:
-    """Sorted indices of the first maximum clique of adj (its diagonal is
-    ignored) found by Tomita and Seki's branch and bound (MCQ) over Python int
-    bitsets, vertices taken by degree descending, then index ascending, within
-    each colour.  An explicit stack replaces recursion."""
+def _max_cliques(adj: np.ndarray, ties: bool) -> list[np.ndarray]:
+    """Sorted maximum cliques of adj (its diagonal is ignored) by Tomita and
+    Seki's branch and bound (MCQ) over Python int bitsets and an explicit
+    stack, vertices taken by degree descending, then index, within each
+    colour: with ties all of them in the order found, else the first.  Past
+    _CLIQUE_WORK coloured vertices the branch under way is completed greedily
+    and the search stops, so on dense graphs a clique may not be maximum."""
     order = np.argsort(-adj.sum(axis=1), kind="stable")
     rows = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
     nbr = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    best, everything = [], (1 << len(nbr)) - 1
-    stack = [[[], everything, _colour_classes(everything, nbr, 1)]]
+    found, everything, slack = [[]], (1 << len(nbr)) - 1, 0 if ties else 1
+    work, stack = len(nbr), [[[], everything, _colour_classes(everything, nbr, 1)]]
     while stack:
         clique, cand, branches = frame = stack[-1]
-        if not branches or len(clique) + branches[-1][0] <= len(best):
-            stack.pop()  # the colour bound: this branch cannot beat best
+        size = len(found[0])
+        if not branches or len(clique) + branches[-1][0] < size + slack:
+            stack.pop()  # the colour bound: this branch cannot beat (or tie) the best
             continue
         _, v = branches.pop()
         frame[1] = cand = cand & ~(1 << v)
         grown, sub = clique + [v], cand & nbr[v]
+        if sub and work > _CLIQUE_WORK:  # out of budget: take the lowest candidates, stop
+            stack.clear()
+            while sub:
+                grown.append((sub & -sub).bit_length() - 1)
+                sub &= nbr[grown[-1]] & ~(sub & -sub)
         if sub:
-            stack.append([grown, sub, _colour_classes(sub, nbr, len(best) - len(grown) + 1)])
-        elif len(grown) > len(best):  # strictly larger: the first one found wins
-            best = grown
-    return np.sort(order[best])
+            work += sub.bit_count()
+            stack.append([grown, sub, _colour_classes(sub, nbr, size + slack - len(grown))])
+        elif len(grown) > size:  # strictly larger: the first one found leads
+            found = [grown]
+        elif ties and len(grown) == size:
+            found.append(grown)
+    return [np.sort(order[c]) for c in found]
 
 
 def gnc_tls_register(
@@ -382,7 +398,11 @@ def gnc_tls_register(
 
     Matches i and j are consistent when their query and db distances differ by
     at most 2 noise_bound; a clique below 3 points raises RegistrationFailedError
-    and a collinear one DegenerateConfigurationError.  From the clique's
+    and a collinear one DegenerateConfigurationError.  The pairwise test admits
+    cliques that no rigid motion fits within noise_bound, so on up to
+    _CLIQUE_TIES_MATCHES matches the tied maximum clique whose umeyama fit
+    leaves the lowest truncated cost is kept (the first on equal cost); the
+    search stops at a fixed amount of work (see _max_cliques).  From the clique's
     umeyama fit, weighted fits alternate with closed-form TLS weights for
     sum(min(r^2/eps^2, 1)) on the clique as the control value falls from
     2 (max residual / noise bound)^2 by 1.4 a step to 1, keeping the best pose
@@ -398,15 +418,22 @@ def gnc_tls_register(
     if len(q) < 3:
         raise InsufficientPointsError(f"need at least 3 correspondences, got {len(q)}")
     eps2 = noise_bound * noise_bound
-    dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
-    clique = _max_clique(np.abs(dq - dd) <= 2.0 * noise_bound)
-    if len(clique) < 3:
-        raise RegistrationFailedError(f"the largest consistent clique has {len(clique)} points")
-    qc, dc = q[clique], d[clique]
 
     def truncated_cost(res2: np.ndarray) -> float:
         return float(np.minimum(res2 / eps2, 1.0).sum())
 
+    def fit_cost(clique: np.ndarray) -> float:
+        try:
+            return truncated_cost(_residuals(umeyama(q[clique], d[clique]), q, d) ** 2)
+        except DegenerateConfigurationError:
+            return np.inf
+
+    dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
+    cliques = _max_cliques(np.abs(dq - dd) <= 2.0 * noise_bound, len(q) <= _CLIQUE_TIES_MATCHES)
+    if len(cliques[0]) < 3:
+        raise RegistrationFailedError(f"the largest consistent clique has {len(cliques[0])} points")
+    clique = min(cliques, key=fit_cost) if len(cliques) > 1 else cliques[0]
+    qc, dc = q[clique], d[clique]
     pose = umeyama(qc, dc)
     r2 = _residuals(pose, qc, dc) ** 2
     history = [truncated_cost(r2)]

@@ -124,14 +124,19 @@ def consistency_graph_scalar(q: np.ndarray, d: np.ndarray, noise_bound: float) -
     return adj
 
 
-def max_clique_size_brute(adj: np.ndarray) -> int:
-    """Size of a maximum clique by trying every vertex subset, largest first."""
+def max_cliques_brute(adj: np.ndarray) -> list[tuple[int, ...]]:
+    """Every maximum clique, as sorted index tuples in lexicographic order, by
+    trying every vertex subset, largest first."""
     n = len(adj)
     for size in range(n, 0, -1):
-        for subset in itertools.combinations(range(n), size):
-            if all(adj[i, j] for i, j in itertools.combinations(subset, 2)):
-                return size
-    return 0
+        found = [
+            subset
+            for subset in itertools.combinations(range(n), size)
+            if all(adj[i, j] for i, j in itertools.combinations(subset, 2))
+        ]
+        if found:
+            return found
+    return [()]
 
 
 def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_axis_angle, inverse, random_pose
-from oracles import consistency_graph_scalar, max_clique_size_brute, ransac_scalar
+from oracles import consistency_graph_scalar, max_cliques_brute, ransac_scalar
 
 from pointloc import registration
 
@@ -360,21 +360,83 @@ class TestGncTls:
         out = rng.random(n) < outlier_fraction
         d[out] = make_cloud(rng, int(out.sum()), scale=1.0)
         adj = consistency_graph_scalar(q, d, noise_bound)
-        clique = registration._max_clique(adj)
+        (clique,) = registration._max_cliques(adj, ties=False)
         assert all(adj[i, j] for i, j in itertools.combinations(clique, 2))
-        assert len(clique) == max_clique_size_brute(adj)
+        want = max_cliques_brute(adj)
+        assert len(clique) == len(want[0])
         assert np.array_equal(clique, np.sort(clique))
-        assert np.array_equal(registration._max_clique(adj), clique)
+        assert np.array_equal(registration._max_cliques(adj, ties=False)[0], clique)
         # gnc_tls_register passes every point as consistent with itself
-        assert np.array_equal(registration._max_clique(adj | np.eye(n, dtype=bool)), clique)
+        with_diagonal = adj | np.eye(n, dtype=bool)
+        assert np.array_equal(registration._max_cliques(with_diagonal, False)[0], clique)
+        tied = registration._max_cliques(adj, ties=True)
+        assert np.array_equal(tied[0], clique)  # the first one found leads either way
+        assert sorted(tuple(c.tolist()) for c in tied) == want
 
     def test_tied_maximum_cliques_take_the_fixed_vertex_order(self):
         """Two 3-cliques share vertices 0 and 1; vertex 2 precedes vertex 3 in
-        the order (degree descending, then index), so {0, 1, 2} wins."""
+        the order (degree descending, then index), so {0, 1, 2} comes first."""
         adj = np.zeros((4, 4), dtype=bool)
         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
             adj[i, j] = adj[j, i] = True
-        assert registration._max_clique(adj).tolist() == [0, 1, 2]
+        assert [c.tolist() for c in registration._max_cliques(adj, False)] == [[0, 1, 2]]
+        assert [c.tolist() for c in registration._max_cliques(adj, True)] == [[0, 1, 2], [0, 1, 3]]
+
+    def test_tied_cliques_keep_the_one_that_fits(self):
+        """Six matches of a seed-7 desk query: two 3-cliques tie, (0, 3, 5)
+        comes first in the vertex order, yet its fit leaves only 2 matches
+        within the bound, while (0, 2, 3) fits all three."""
+        q = np.array([
+            [-3.6163488498512235, -0.7388239585717554, 9.954680704966812],
+            [-5.485961103799496, 1.097192220759899, 8.025177386129549],
+            [-1.141297350652323, -1.7499892710002285, 3.8956282902265964],
+            [-1.741443026626993, 1.2499928473334858, 2.7350270847638667],
+            [-1.715108100633249, 1.2499940394445714, 7.441824979018845],
+            [-0.1512365768291752, -1.7500232461661702, 5.530937666895552],
+        ])
+        d = np.array([
+            [-6.787562824254213, -0.7063979409857327, 7.862516212710765],
+            [4.17651827267872, 1.2433909361409932, 8.161745632104981],
+            [-1.3166855020218202, -1.7500250343327988, 4.266727702754253],
+            [-1.179891350995651, 1.249983906500343, 2.9906157015335317],
+            [-3.5450802767605087, 1.2499994039444569, 5.245899137865263],
+            [-1.4049410620279237, -1.7500143053330277, 6.309910734721904],
+        ])
+        adj = consistency_graph_scalar(q, d, 0.05)
+        tied = [c.tolist() for c in registration._max_cliques(adj, True)]
+        assert tied == [[0, 3, 5], [0, 2, 3]]
+        res = gnc_tls_register(q, d, noise_bound=0.05)
+        assert res.inlier_indices.tolist() == [0, 2, 3]
+
+    def test_dense_graph_stops_at_the_work_cap(self, monkeypatch):
+        """300 unrelated matches in a 0.2 m cube: the consistency graph is so
+        dense that the full search takes minutes.  The capped one colours at
+        most one colouring past the cap, and returns the same pairwise
+        consistent clique on a repeat."""
+        rng = np.random.default_rng(9)
+        q, d = rng.uniform(0.0, 0.2, (300, 3)), rng.uniform(0.0, 0.2, (300, 3))
+        dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
+        adj = np.abs(dq - dd) <= 0.1
+        assert adj.mean() > 0.8
+        coloured = []
+
+        def counted(cand, nbr, min_colour):
+            coloured.append(cand.bit_count())
+            return colour_classes(cand, nbr, min_colour)
+
+        colour_classes = registration._colour_classes
+        monkeypatch.setattr(registration, "_colour_classes", counted)
+        start = time.perf_counter()
+        (clique,) = registration._max_cliques(adj, ties=False)
+        assert time.perf_counter() - start < 30.0
+        assert sum(coloured) <= registration._CLIQUE_WORK + 2 * len(adj)
+        assert len(clique) >= 3
+        assert all(adj[i, j] for i, j in itertools.combinations(clique, 2))
+        assert np.array_equal(registration._max_cliques(adj, ties=False)[0], clique)
+        try:
+            gnc_tls_register(q, d, noise_bound=0.05)
+        except registration.RegistrationError:
+            pass  # unrelated points may well not register; they must not hang
 
     def test_thousand_identical_points(self, rng):
         """An all-consistent graph at max_keypoints' default size: the search
