@@ -65,6 +65,8 @@ def _as_points(arr, name: str) -> np.ndarray:
     pts = np.asarray(arr, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"{name} must be an (n, 3) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must hold finite coordinates")
     return pts
 
 
@@ -135,87 +137,103 @@ def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return triples
 
 
-# Rounding-step cover of the stacked-fit bounds (see _kabsch_stack).
+# Rounding-step cover of the triple-fit bounds (see _fit_triples).
 _ROUNDING_STEPS = 1024
 _C_U = _ROUNDING_STEPS * np.finfo(np.float64).eps / 2  # eps / 2 = u
 
 
-def _kabsch_stack(q: np.ndarray, d: np.ndarray, idx: np.ndarray):
-    """Every 3-point hypothesis idx (H, 3) fitted at once by a stacked Kabsch
-    solve, with the bounds within which umeyama on the same triple can differ.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of the columns of two (3, H) arrays."""
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
 
-    Returns (res2, fitted, undecided, dr): the (H, n) squared residuals of
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """The columns of v (3, H) scaled to length 1; a zero column stays zero."""
+    return v / np.maximum(np.sqrt(np.einsum("ih,ih->h", v, v)), 1e-300)
+
+
+def _triangle_frames(p: np.ndarray):
+    """Per centred triple of p (3 coordinates, 3 points, H) the frame e1 along
+    its longest point, e3 the normal of its vertex order (along p0 x p1) and
+    e2 = e3 x e1, (3 coordinates, 3 axes, H), and the points' coordinates
+    along e1 and e2, (2, 3, H)."""
+    norm2 = np.einsum("cph,cph->ph", p, p)
+    p1_longer = norm2[1] > norm2[0]
+    p2_longest = norm2[2] > np.maximum(norm2[0], norm2[1])
+    longest = np.where(p2_longest, p[:, 2], np.where(p1_longer, p[:, 1], p[:, 0]))
+    after = np.where(p2_longest, p[:, 0], np.where(p1_longer, p[:, 2], p[:, 1]))
+    e3 = _unit(_cross(longest, after))
+    e1 = _unit(longest)
+    frame = np.stack([e1, _cross(e3, e1), e3], axis=1)
+    return frame, np.einsum("cph,cah->aph", p, frame[:, :2])
+
+
+def _fit_triples(q: np.ndarray, d: np.ndarray, idx: np.ndarray):
+    """Every 3-point hypothesis idx (H, 3) fitted at once in closed form, with
+    the bounds within which umeyama on the same triple can differ.
+
+    Returns (res2, fitted, undecided, dr): the (n, H) squared residuals of
     every fit over all n points; the hypotheses umeyama certainly fits, and
     those it may or may not reject as degenerate (it certainly rejects the
     rest); and dr (H,), a bound on how far any residual of a fitted
     hypothesis lies from the one umeyama's pose gives.
 
-    The stacked fit differs from umeyama only by rounding.  With u = 2^-53
-    and L the largest query plus the largest db point norm, every rounding
-    step of either fit moves the cross-covariance and its singular values by
-    at most about u L^2; c = _ROUNDING_STEPS covers the steps of both fits
+    Centred triples span a plane, so the cross-covariance is E M F^T, with
+    E, F the triangles' frames (_triangle_frames) and M the 2x2
+    cross-covariance of the in-plane coordinates.  Both frames follow their
+    vertex order, so det M >= 0: the singular values are (h+ +- h-) / 2
+    with h+- = |(m00 +- m11, m01 -+ m10)|, and the best rotation turns E in
+    its plane by the angle of (m00 + m11, m01 - m10) onto F.
+
+    The fit differs from umeyama only by rounding.  With u = 2^-53 and L
+    the largest query plus the largest db point norm, every rounding step
+    of either fit moves the cross-covariance and its singular values by at
+    most about u L^2; c = _ROUNDING_STEPS covers the steps of both fits
     many times over, so dh = c u L^2 bounds the difference of the two
     singular values and of the degeneracy margin (by 2 dh).  The rotation of
     a rank-2 Kabsch problem moves by at most 2 dh / s1 (s1 the second
     singular value), plus c u for forming it; a residual then moves by at
-    most dr = 2 (rho + c u) L.
+    most dr = 2 (rho + c u) L.  A frame's normal, a x b of centred points
+    with a the longest, tilts by at most about 3 u |a|^2 / |a x b|, which
+    is <= 12 dh / (c s1) as s1 <= 2 L |a x b| / |a|; turning about e1, it
+    moves the in-plane coordinates only by its square.
     """
-    q3, d3 = q[idx], d[idx]  # (H, 3, 3)
-    qc, dc = q3.mean(axis=1), d3.mean(axis=1)
-    cov = np.einsum("hni,hnj->hij", q3 - qc[:, None], d3 - dc[:, None]) / 3.0
-    u, s, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-    vt[:, 2] *= sign[:, None]
-    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
-    trans = dc - np.einsum("hij,hj->hi", rot, qc)
-    res = q @ np.swapaxes(rot, 1, 2) + trans[:, None] - d  # (H, n, 3)
-    res2 = np.einsum("hni,hni->hn", res, res)
+    n, hyps = len(q), len(idx)
+    # query triples in columns :H, db triples in columns H:, each centred
+    p = np.take(np.concatenate([q, d]).T, np.concatenate([idx, idx + n]).T, axis=1)
+    centre = p.mean(axis=1)
+    frame, xy = _triangle_frames(p - centre[:, None])
+    e, f = frame[..., :hyps], frame[..., hyps:]
+    m = np.einsum("aph,bph->abh", xy[..., :hyps], xy[..., hyps:])  # 3 M: sums, not means
+    h_plus = np.hypot(m[0, 0] + m[1, 1], m[0, 1] - m[1, 0])
+    h_minus = np.hypot(m[0, 0] - m[1, 1], m[0, 1] + m[1, 0])
+    s = np.stack([h_plus + h_minus, h_plus - h_minus]) / 6.0
+    cos, sin = np.stack([m[0, 0] + m[1, 1], m[0, 1] - m[1, 0]]) / np.maximum(h_plus, 1e-300)
+    # R = sum over axes a of f_a g_a^T, g the query frame turned in its plane
+    g = np.stack([cos * e[:, 0] - sin * e[:, 1], sin * e[:, 0] + cos * e[:, 1], e[:, 2]], axis=1)
+    pose = np.empty((4, 3, hyps))  # [R_h^T; t_h] for each h, applied to [q, 1]
+    np.einsum("jah,iah->jih", g, f, out=pose[:3])
+    pose[3] = centre[:, hyps:] - np.einsum("jih,jh->ih", pose[:3], centre[:, :hyps])
+    res = (np.concatenate([q, np.ones((n, 1))], axis=1) @ pose.reshape(4, -1)).reshape(n, 3, hyps)
+    res -= d[:, :, None]
+    res2 = np.einsum("nih,nih->nh", res, res)
 
     scale = float(np.linalg.norm(q, axis=1).max() + np.linalg.norm(d, axis=1).max())
     dh = _C_U * scale * scale
-    gap = s[:, 1] - DEGENERACY_RTOL * np.maximum(s[:, 0], 1e-300)
+    gap = s[1] - DEGENERACY_RTOL * np.maximum(s[0], 1e-300)
     fitted = gap > 2.0 * dh
     undecided = ~(fitted | (gap < -2.0 * dh))  # also NaN: left to umeyama
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = 2.0 * dh / (s[:, 1] - dh) + _C_U
+        rho = 2.0 * dh / (s[1] - dh) + _C_U
     dr = 2.0 * (rho + _C_U) * scale
     return res2, fitted, undecided, dr
 
 
-# Hypotheses per stacked RANSAC chunk: the first chunk, doubled for each
-# next one, and at most _RANSAC_CHUNK_POINTS // n so that the (H, n, 3)
-# residual array stays at a few MB.
+# Hypotheses per RANSAC chunk: the first chunk, doubled for each next one,
+# and at most _RANSAC_CHUNK_POINTS // n so that the (n, 3, H) residual array
+# stays at a few MB.
 _RANSAC_FIRST_CHUNK = 64
 _RANSAC_CHUNK_POINTS = 1 << 17
-
-
-def _ransac_hypotheses(q, d, inlier_threshold, max_iters, rng):
-    """(triple, consensus size) of the hypotheses rng.choice would draw, in
-    draw order, max_iters of them; a degenerate triple has size 0.
-
-    Sizes come chunk by chunk from _kabsch_stack; a hypothesis with a
-    residual within dr of the threshold, or an undecided degeneracy, is
-    fitted again by umeyama and counted as before.
-    """
-    n = len(q)
-    drawn, chunk = 0, _RANSAC_FIRST_CHUNK
-    while drawn < max_iters:
-        count = min(chunk, max(1, _RANSAC_CHUNK_POINTS // n), max_iters - drawn)
-        idx = _draw_triples(rng, n, count)
-        res2, fitted, undecided, dr = _kabsch_stack(q, d, idx)
-        res = np.sqrt(res2)
-        sizes = np.where(fitted, (res < inlier_threshold).sum(axis=1), 0)
-        near = (np.abs(res - inlier_threshold) <= dr[:, None]).any(axis=1)
-        for h in np.flatnonzero(undecided | (fitted & near)):
-            try:
-                hyp = umeyama(q[idx[h]], d[idx[h]])
-            except DegenerateConfigurationError:
-                sizes[h] = 0
-                continue
-            sizes[h] = (_residuals(hyp, q, d) < inlier_threshold).sum()
-        yield from zip(idx, sizes.tolist())
-        drawn += count
-        chunk *= 2
 
 
 def ransac_register(
@@ -226,7 +244,10 @@ def ransac_register(
     seed: int = 0,
 ) -> RegistrationResult:
     """3-point hypotheses from a seeded stream, consensus by residual < threshold,
-    early exit at 90% consensus, final refit on the best consensus set."""
+    early exit at 90% consensus, final refit on the best consensus set.
+
+    Hypotheses are fitted chunk by chunk by _fit_triples; umeyama fits again
+    those with a residual within dr of the threshold and undecided ones."""
     q = _as_points(p_query, "p_query")
     d = _as_points(p_db, "p_db")
     if q.shape != d.shape:
@@ -240,13 +261,32 @@ def ransac_register(
 
     best_size = 0
     best_idx: np.ndarray | None = None
-    iterations = 0
-    for idx, size in _ransac_hypotheses(q, d, inlier_threshold, max_iters, rng):
-        iterations += 1
-        if size > best_size:  # strictly greater keeps the earliest hypothesis on ties
-            best_size, best_idx = size, idx
-        if best_size >= 3 and best_size / n >= 0.9:
+    iterations, chunk = 0, _RANSAC_FIRST_CHUNK
+    while iterations < max_iters:
+        count = min(chunk, max(1, _RANSAC_CHUNK_POINTS // n), max_iters - iterations)
+        idx = _draw_triples(rng, n, count)
+        res, fitted, undecided, dr = _fit_triples(q, d, idx)
+        np.sqrt(res, out=res)
+        sizes = np.where(fitted, (res < inlier_threshold).sum(axis=0), 0)
+        res -= inlier_threshold
+        near = (np.abs(res, out=res) <= dr).any(axis=0)
+        for h in np.flatnonzero(undecided | (fitted & near)):
+            try:
+                hyp = umeyama(q[idx[h]], d[idx[h]])
+            except DegenerateConfigurationError:
+                sizes[h] = 0
+                continue
+            sizes[h] = (_residuals(hyp, q, d) < inlier_threshold).sum()
+        running = np.maximum(np.maximum.accumulate(sizes), best_size)
+        done = np.flatnonzero((running >= 3) & (running / n >= 0.9))  # early exit at 90%
+        seen = done[0] + 1 if len(done) else count
+        iterations += int(seen)
+        top = int(np.argmax(sizes[:seen]))  # the first largest: ties keep the earliest
+        if sizes[top] > best_size:
+            best_size, best_idx = int(sizes[top]), idx[top]
+        if len(done):
             break
+        chunk *= 2
 
     if best_idx is None or best_size < 3:
         raise RegistrationFailedError(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 
@@ -48,6 +49,29 @@ def corrupted_correspondences(rng, n=100, outlier_fraction=0.6, noise=0.0):
     out_idx = rng.choice(n, size=n_out, replace=False)
     d[out_idx] = rng.uniform(-5.0, 5.0, size=(n_out, 3))
     return gt, q, d, out_idx
+
+
+def shaped(rng, kind, gt, q, d, out_idx):
+    """A corrupted correspondence set made thin (query points about a line
+    10 m long, 1e-5 to 1e-2 m off it), mirrored (the inliers' db points are
+    the transformed mirror image of their query points), far (offset 1e4 m
+    from the origin) or tiny (scaled by 1e-3); the outliers stay outliers."""
+    if kind in ("thin", "mirrored"):
+        inlier = np.ones(len(q), dtype=bool)
+        inlier[out_idx] = False
+        if kind == "thin":
+            width = 10.0 ** rng.uniform(-5.0, -2.0)
+            q = np.outer(rng.uniform(-3.0, 3.0, len(q)), rng.normal(size=3))
+            q = q + width * rng.normal(size=q.shape)
+            d[inlier] = transform_points(gt, q[inlier])
+        else:
+            d[inlier] = transform_points(gt, q[inlier] * np.array([1.0, 1.0, -1.0]))
+    if kind == "far":
+        q = q + 1e4 * rng.normal(size=3) / np.sqrt(3.0)
+        d = d + 1e4 * rng.normal(size=3) / np.sqrt(3.0)
+    if kind == "tiny":
+        q, d = 1e-3 * q, 1e-3 * d
+    return q, d
 
 
 def assert_pose_close(got: Pose, want: Pose, t_tol: float, r_tol_deg: float):
@@ -133,6 +157,27 @@ class TestUmeyama:
         assert_pose_close(umeyama(q, d, weights=w), gt, 1e-9, 1e-7)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "solve, names",
+    [
+        (umeyama, ("p_query", "p_db")),
+        (ransac_register, ("p_query", "p_db")),
+        (lambda q, d: gnc_tls_register(q, d, 0.05), ("p_query", "p_db")),
+        (lambda q, d: icp_refine(q, d, Pose.identity()), ("query_cloud", "db_cloud")),
+    ],
+    ids=["umeyama", "ransac", "gnc", "icp"],
+)
+def test_non_finite_points_are_a_value_error(rng, solve, names, value):
+    q = make_cloud(rng, 20)
+    for side, name in enumerate(names):
+        points = [q, q + 1.0]
+        points[side] = points[side].copy()
+        points[side][7, 1] = value
+        with pytest.raises(ValueError, match=f"{name} must hold finite coordinates"):
+            solve(*points)
+
+
 class TestRansac:
     def test_no_outliers_equals_umeyama(self, rng):
         gt = random_pose(rng)
@@ -204,13 +249,16 @@ class TestRansacEquivalence:
     @given(
         n=st.integers(3, 90),
         outliers=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]),
-        kind=st.sampled_from(["plain", "noisy", "repeated", "collinear", "at_threshold"]),
+        kind=st.sampled_from(
+            ["plain", "noisy", "repeated", "collinear", "at_threshold"]
+            + ["thin", "mirrored", "far", "tiny"]
+        ),
         max_iters=st.sampled_from([1, 2, 63, 64, 65, 193, 300, 1000]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_hypothesis_loop(self, n, outliers, kind, max_iters, seed):
         rng = np.random.default_rng(seed)
-        _, q, d, _ = corrupted_correspondences(
+        gt, q, d, out_idx = corrupted_correspondences(
             rng, n, outliers, noise=0.01 if kind == "noisy" else 0.0
         )
         if kind == "repeated" and n > 3:  # repeated points make degenerate triples
@@ -222,8 +270,10 @@ class TestRansacEquivalence:
             moved = rng.choice(n, size=(n + 1) // 2, replace=False)
             step = rng.normal(size=(len(moved), 3))
             d[moved] = d[moved] + 0.05 * step / np.linalg.norm(step, axis=1)[:, None]
-        got = outcome(ransac_register, q, d, 0.05, max_iters, seed)
-        want = outcome(ransac_scalar, q, d, 0.05, max_iters, seed)
+        q, d = shaped(rng, kind, gt, q, d, out_idx)
+        threshold = 5e-5 if kind == "tiny" else 0.05
+        got = outcome(ransac_register, q, d, threshold, max_iters, seed)
+        want = outcome(ransac_scalar, q, d, threshold, max_iters, seed)
         assert_same_result(got, want)
         if kind == "collinear":
             assert isinstance(got, RegistrationFailedError)
@@ -255,6 +305,154 @@ class TestRansacEquivalence:
             got = ransac_register(q, d, seed=seed)
             assert_same_result(got, ransac_scalar(q, d, seed=seed))
             assert len(got.inlier_indices) == 41 and got.iterations > 1
+
+    @staticmethod
+    def line_and_one_point(n, seed, first):
+        """n - 1 points on a line and one 1 m off it, every match exact, for
+        which the off-line point first appears in the seed's triple number
+        first (1-based).  Triples on the line are degenerate; any other fits
+        every match, so RANSAC exits at that triple."""
+        triples = registration._draw_triples(np.random.default_rng(seed), n, first)
+        seen_before = set(triples[: first - 1].ravel().tolist())
+        fresh = [i for i in triples[first - 1].tolist() if i not in seen_before]
+        if not fresh:
+            return None
+        gt = Pose(from_axis_angle([0.2, 0.9, -0.4], 0.8), np.array([1.0, -2.0, 0.5]))
+        q = np.outer(np.linspace(-4.0, 4.0, n), [0.6, -0.3, 0.2]) + [0.1, 0.2, 0.3]
+        q[fresh[0]] += [0.3, 0.6, -0.7]
+        return q, transform_points(gt, q)
+
+    @pytest.mark.parametrize(
+        "first, max_iters",
+        [(64, 1000), (65, 1000), (65, 65), (66, 65)],
+        ids=["last-of-first-chunk", "first-of-second-chunk", "at-max-iters", "past-max-iters"],
+    )
+    def test_chunk_boundaries(self, first, max_iters):
+        made = ((seed, self.line_and_one_point(40, seed, first)) for seed in range(2000))
+        seed, (q, d) = next(m for m in made if m[1] is not None)
+        got = outcome(ransac_register, q, d, 0.05, max_iters, seed)
+        want = outcome(ransac_scalar, q, d, 0.05, max_iters, seed)
+        assert_same_result(got, want)
+        if first <= max_iters:
+            assert got.iterations == first and len(got.inlier_indices) == 40
+        else:
+            assert str(got) == f"no hypothesis reached 3 inliers in {max_iters} iterations"
+
+    def test_tie_across_chunks_keeps_the_earlier(self):
+        """Seven points on a line and two off it, a and b, each matched under
+        its own rotation about the line.  A triple of two line points and a
+        fits the line and a (8 of 9 matches, short of the 90% exit), one with
+        b fits the line and b: a tie, won by the first.  The seed is the first
+        whose first tying triple holds a, while the first one of the second
+        chunk holds b, so the result fits a."""
+        line = np.outer(np.linspace(-3.0, 3.0, 7), [0.0, 0.0, 1.0])
+        gt = Pose(from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
+        turn_a = Pose(from_axis_angle([0.0, 0.0, 1.0], 0.5), np.zeros(3))
+        turn_b = Pose(from_axis_angle([0.0, 0.0, 1.0], -0.9), np.zeros(3))
+        for seed in range(200):
+            triples = registration._draw_triples(np.random.default_rng(seed), 9, 192)
+            one_off = [t for t in triples[:64] if (t >= 7).sum() == 1]
+            one_off_next = [t for t in triples[64:] if (t >= 7).sum() == 1]
+            if one_off and one_off_next and 7 in one_off[0] and 8 in one_off_next[0]:
+                break
+        else:
+            pytest.fail("no seed below 200 ties across the chunks")
+        q = np.vstack([line, [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]]])
+        d = np.vstack([
+            transform_points(gt, line),
+            transform_points(gt, transform_points(turn_a, q[7:8])),
+            transform_points(gt, transform_points(turn_b, q[8:9])),
+        ])
+        got = ransac_register(q, d, 0.05, 1000, seed)
+        assert_same_result(got, ransac_scalar(q, d, 0.05, 1000, seed))
+        assert got.inlier_indices.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+        assert got.iterations == 1000
+
+
+class TestSolverDigests:
+    """One SHA-256 per robust solver over a fixed battery of seeded
+    correspondence sets, so that any change of either solver's output shows,
+    not only one that reaches the results CSVs of TestEquivalenceOracle.  A
+    solver change that alters output on purpose must say so and record a new
+    digest."""
+
+    DIGESTS = {
+        "ransac": "181fd28c53a30ce0540cabd490529954138b2dad4c386995ae108b031f29bf6b",
+        "gnc": "82348dfe796ff522d1128cc2cde15959ffef1d5653709c75112ed3f878d2e6c6",
+    }
+
+    @staticmethod
+    def battery():
+        """60 sets: n from 3 to 120, outlier fractions 0 to 0.9, with and
+        without noise."""
+        for i in range(60):
+            rng = np.random.default_rng([17, i])
+            n = 3 + (i * 117) // 59
+            outliers = (0.0, 0.1, 0.3, 0.6, 0.9)[i % 5]
+            noise = (0.0, 0.01)[(i // 5) % 2]
+            _, q, d, _ = corrupted_correspondences(rng, n, outliers, noise)
+            yield i, q, d
+
+    @staticmethod
+    def digest(outcomes) -> str:
+        h = hashlib.sha256()
+        for got in outcomes:
+            if isinstance(got, Exception):
+                h.update(f"{type(got).__name__}: {got}".encode())
+                continue
+            r = got.pose.rotation
+            h.update(np.array([r.w, r.x, r.y, r.z]).tobytes())
+            h.update(got.pose.translation.tobytes())
+            h.update(got.inlier_indices.tobytes())
+            h.update(str(got.iterations).encode())
+        return h.hexdigest()
+
+    def test_ransac_digest(self):
+        outcomes = (outcome(ransac_register, q, d, 0.05, 1000, i) for i, q, d in self.battery())
+        assert self.digest(outcomes) == self.DIGESTS["ransac"]
+
+    def test_gnc_digest(self):
+        outcomes = (outcome(gnc_tls_register, q, d, 0.05) for _, q, d in self.battery())
+        assert self.digest(outcomes) == self.DIGESTS["gnc"]
+
+
+class TestFitTriples:
+    """The closed-form fit of every hypothesis against umeyama on its triple:
+    a fitted hypothesis is one umeyama fits, with every residual within dr of
+    umeyama's; one neither fitted nor undecided is one umeyama rejects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        outliers=st.sampled_from([0.0, 0.3, 0.9]),
+        kind=st.sampled_from(
+            ["random", "noisy", "repeated", "thin", "mirrored", "far", "tiny"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_holds_for_every_hypothesis(self, n, outliers, kind, seed):
+        rng = np.random.default_rng(seed)
+        gt, q, d, out_idx = corrupted_correspondences(
+            rng, n, outliers, noise=0.01 if kind == "noisy" else 0.0
+        )
+        if kind == "repeated" and n > 3:
+            rep = rng.choice(n, size=max(2, n // 3), replace=False)
+            q[rep], d[rep] = q[rep[0]], d[rep[0]]
+        q, d = shaped(rng, kind, gt, q, d, out_idx)
+        idx = registration._draw_triples(rng, n, 64)
+        res2, fitted, undecided, dr = registration._fit_triples(q, d, idx)
+        if kind in ("random", "noisy", "mirrored", "far", "tiny"):
+            assert fitted.all()
+        for h, triple in enumerate(idx):
+            try:
+                pose = umeyama(q[triple], d[triple])
+            except DegenerateConfigurationError:
+                assert not fitted[h]
+                continue
+            assert fitted[h] or undecided[h]
+            if fitted[h]:
+                diff = np.abs(np.sqrt(res2[:, h]) - registration._residuals(pose, q, d))
+                assert (diff <= dr[h]).all()
 
 
 class TestDrawTriples:
