@@ -131,17 +131,26 @@ def render_recall_csv(table: RecallTable) -> str:
 
 
 def parse_recall_csv(text: str) -> RecallTable:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    """The table render_recall_csv wrote; a bad line is an EvaluationError naming it."""
+    lines = [(lineno, l) for lineno, l in enumerate(text.splitlines(), 1) if l.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise EvaluationError("unrecognized recall CSV header")
     table = RecallTable()
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
-        name = parts[0]
-        vals = [float(v) for v in parts[1:9]]
-        combined = tuple(reversed(vals[:4]))
-        translation_only = tuple(reversed(vals[4:]))
-        table.add(name, RecallRow(combined, translation_only, int(parts[9])))
+        try:
+            if len(parts) != 10:
+                raise ValueError(f"expected 10 fields, got {len(parts)}")
+            if parts[0] in table.rows:
+                raise ValueError(f"configuration {parts[0]!r} repeats")
+            vals = [float(v) for v in parts[1:9]]
+            count = int(parts[9])
+            if count < 1:
+                raise ValueError(f"query count must be positive, got {count}")
+            row = RecallRow(tuple(reversed(vals[:4])), tuple(reversed(vals[4:])), count)
+        except ValueError as e:
+            raise EvaluationError(f"recall CSV line {lineno}: {e}") from e
+        table.add(parts[0], row)
     return table
 
 

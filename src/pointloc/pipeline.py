@@ -327,21 +327,14 @@ def _register(
     method = config.method
     if method == "umeyama":
         return umeyama(p_query, p_db), len(p_query)
-    if method == "ransac":
-        res = ransac_register(
-            p_query, p_db, config.ransac_threshold, config.ransac_iters, seed
-        )
+    if method == "gnc":
+        res = gnc_tls_register(p_query, p_db, config.gnc_noise_bound)
         return res.pose, len(res.inlier_indices)
+    res = ransac_register(p_query, p_db, config.ransac_threshold, config.ransac_iters, seed)
+    pose = res.pose
     if method == "ransac+icp":
-        res = ransac_register(
-            p_query, p_db, config.ransac_threshold, config.ransac_iters, seed
-        )
-        refined = icp_refine(
-            query_cloud, db_cloud, res.pose, config.icp_iters, config.icp_tol
-        )
-        return refined.pose, len(res.inlier_indices)
-    res = gnc_tls_register(p_query, p_db, config.gnc_noise_bound)
-    return res.pose, len(res.inlier_indices)
+        pose = icp_refine(query_cloud, db_cloud, pose, config.icp_iters, config.icp_tol).pose
+    return pose, len(res.inlier_indices)
 
 
 def keypoint_depths(depth: np.ndarray, xy: np.ndarray) -> np.ndarray:

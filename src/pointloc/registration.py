@@ -70,6 +70,17 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
+def _point_pairs(p_query, p_db) -> tuple[np.ndarray, np.ndarray]:
+    """The query and db points of at least 3 correspondences, as (n, 3) arrays."""
+    q = _as_points(p_query, "p_query")
+    d = _as_points(p_db, "p_db")
+    if q.shape != d.shape:
+        raise ValueError("point sets must have equal shapes")
+    if len(q) < 3:
+        raise InsufficientPointsError(f"need at least 3 correspondences, got {len(q)}")
+    return q, d
+
+
 def umeyama(p_query: np.ndarray, p_db: np.ndarray, weights: np.ndarray | None = None) -> Pose:
     """Least-squares rigid transform T with T(p_query) ~ p_db, scale fixed at 1.
 
@@ -77,12 +88,7 @@ def umeyama(p_query: np.ndarray, p_db: np.ndarray, weights: np.ndarray | None = 
     InsufficientPointsError below 3 points and DegenerateConfigurationError for
     collinear (rank < 2) configurations, where the rotation is not unique.
     """
-    q = _as_points(p_query, "p_query")
-    d = _as_points(p_db, "p_db")
-    if q.shape != d.shape:
-        raise ValueError("point sets must have equal shapes")
-    if len(q) < 3:
-        raise InsufficientPointsError(f"need at least 3 correspondences, got {len(q)}")
+    q, d = _point_pairs(p_query, p_db)
     if weights is None:
         w = np.ones(len(q))
     else:
@@ -111,6 +117,20 @@ def umeyama(p_query: np.ndarray, p_db: np.ndarray, weights: np.ndarray | None = 
 
 def _residuals(pose: Pose, q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(transform_points(pose, q) - d, axis=1)
+
+
+def _refit(q: np.ndarray, d: np.ndarray, pose: Pose, mask: np.ndarray, within):
+    """The final refit of both robust solvers: umeyama on the inliers (mask) of
+    pose, returned with the indices of its own inliers (residuals passing within)
+    if it is not degenerate and keeps at least 3, else pose and mask's indices."""
+    try:
+        refit = umeyama(q[mask], d[mask])
+    except DegenerateConfigurationError:
+        return pose, np.nonzero(mask)[0]
+    refit_mask = within(_residuals(refit, q, d))
+    if refit_mask.sum() < 3:
+        return pose, np.nonzero(mask)[0]
+    return refit, np.nonzero(refit_mask)[0]
 
 
 def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -247,14 +267,11 @@ def ransac_register(
     early exit at 90% consensus, final refit on the best consensus set.
 
     Hypotheses are fitted chunk by chunk by _fit_triples; umeyama fits again
-    those with a residual within dr of the threshold and undecided ones."""
-    q = _as_points(p_query, "p_query")
-    d = _as_points(p_db, "p_db")
-    if q.shape != d.shape:
-        raise ValueError("point sets must have equal shapes")
+    those with a residual within dr of the threshold and undecided ones.  The
+    refit and its inliers are kept if it is not degenerate and keeps at least
+    3, else the best hypothesis and its inliers are (_refit)."""
+    q, d = _point_pairs(p_query, p_db)
     n = len(q)
-    if n < 3:
-        raise InsufficientPointsError(f"need at least 3 correspondences, got {n}")
     if inlier_threshold <= 0:
         raise ValueError("inlier_threshold must be positive")
     rng = np.random.default_rng(seed)
@@ -294,16 +311,9 @@ def ransac_register(
         )
 
     best_pose = umeyama(q[best_idx], d[best_idx])
-    best_mask = _residuals(best_pose, q, d) < inlier_threshold
-    pose = best_pose
-    try:
-        pose = umeyama(q[best_mask], d[best_mask])
-    except DegenerateConfigurationError:
-        pass  # keep the minimal-sample pose
-    mask = _residuals(pose, q, d) < inlier_threshold
-    if mask.sum() < 3:
-        pose, mask = best_pose, best_mask
-    return RegistrationResult(pose=pose, inlier_indices=np.nonzero(mask)[0], iterations=iterations)
+    mask = _residuals(best_pose, q, d) < inlier_threshold
+    pose, inliers = _refit(q, d, best_pose, mask, lambda r: r < inlier_threshold)
+    return RegistrationResult(pose=pose, inlier_indices=inliers, iterations=iterations)
 
 
 def icp_refine(
@@ -447,16 +457,13 @@ def gnc_tls_register(
     sum(min(r^2/eps^2, 1)) on the clique as the control value falls from
     2 (max residual / noise bound)^2 by 1.4 a step to 1, keeping the best pose
     (the recorded cost never increases).  The inliers, all matches within the
-    noise bound, are refitted once.  Deterministic.
+    noise bound, are refitted once; the refit and its inliers are kept if it is
+    not degenerate and keeps at least 3, else the annealed pose and its
+    inliers are (_refit).  Deterministic.
     """
     if noise_bound <= 0:
         raise ValueError("noise_bound must be positive")
-    q = _as_points(p_query, "p_query")
-    d = _as_points(p_db, "p_db")
-    if q.shape != d.shape:
-        raise ValueError("point sets must have equal shapes")
-    if len(q) < 3:
-        raise InsufficientPointsError(f"need at least 3 correspondences, got {len(q)}")
+    q, d = _point_pairs(p_query, p_db)
     eps2 = noise_bound * noise_bound
 
     def truncated_cost(res2: np.ndarray) -> float:
@@ -478,39 +485,28 @@ def gnc_tls_register(
     r2 = _residuals(pose, qc, dc) ** 2
     history = [truncated_cost(r2)]
     mu = 2.0 * float(r2.max()) / eps2
-    iterations = 0
     while mu > 1.0:
-        iterations += 1
-        weights = _tls_weights(r2, eps2, mu)
-        try:
-            cand = umeyama(qc, dc, weights=weights)
-        except (DegenerateConfigurationError, InsufficientPointsError):
-            mu /= GNC_DIVISOR
-            history.append(history[-1])
-            continue
-        cand_r2 = _residuals(cand, qc, dc) ** 2
-        cost = truncated_cost(cand_r2)
-        if cost <= history[-1] + 1e-15:
-            pose, r2 = cand, cand_r2
-            history.append(cost)
+        cost = history[-1]
+        try:  # the clique has >= 3 points; all weights zero is degenerate
+            cand = umeyama(qc, dc, weights=_tls_weights(r2, eps2, mu))
+        except DegenerateConfigurationError:
+            pass
         else:
-            history.append(history[-1])  # keep the best pose so far
+            cand_r2 = _residuals(cand, qc, dc) ** 2
+            cand_cost = truncated_cost(cand_r2)
+            if cand_cost <= cost + 1e-15:  # else keep the best pose so far
+                pose, r2, cost = cand, cand_r2, cand_cost
+        history.append(cost)
         mu /= GNC_DIVISOR
 
-    inliers = np.nonzero(_residuals(pose, q, d) ** 2 <= eps2)[0]
-    if len(inliers) < 3:
-        raise RegistrationFailedError(f"{len(inliers)} correspondences survive the noise bound")
-    try:
-        pose = umeyama(q[inliers], d[inliers])
-    except DegenerateConfigurationError:
-        pass
-    final_mask = _residuals(pose, q, d) ** 2 <= eps2
-    if final_mask.sum() >= 3:
-        inliers = np.nonzero(final_mask)[0]
+    mask = _residuals(pose, q, d) ** 2 <= eps2
+    if mask.sum() < 3:
+        raise RegistrationFailedError(f"{mask.sum()} correspondences survive the noise bound")
+    pose, inliers = _refit(q, d, pose, mask, lambda r: r**2 <= eps2)
     return RegistrationResult(
         pose=pose,
         inlier_indices=inliers,
-        iterations=iterations,
+        iterations=len(history) - 1,
         residual_history=tuple(history),
     )
 

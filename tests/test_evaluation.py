@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,26 @@ class TestReports:
         # loosest combined first, then translation-only loosest first
         assert [float(p) for p in parts[1:5]] == [0.95, 0.9, 0.8, 0.7]
         assert [float(p) for p in parts[5:9]] == [0.99, 0.92, 0.85, 0.75]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("bow,0.9,0.8,0.7", "expected 10 fields, got 4"),
+            ("bow,0.9,0.8,0.7,0.6,0.9,0.8,0.7,0.6,100,7", "expected 10 fields, got 11"),
+            ("bow,0.9,0.8,0.7,0.6,0.9,0.8,0.7,0.6,1e2", "invalid literal for int()"),
+            ("bow,0.9,0.8,0.7,0.6,0.9,0.8,0.7,0.6,0", "query count must be positive"),
+            ("bow,2,0.8,0.7,0.6,0.9,0.8,0.7,0.6,100", "recall 2.0 outside [0, 1]"),
+            ("bow,nan,0.8,0.7,0.6,0.9,0.8,0.7,0.6,100", "recall nan outside [0, 1]"),
+            ("bow,0.9,0.8,x,0.6,0.9,0.8,0.7,0.6,100", "could not convert"),
+            ("retrieval-only,0.9,0.8,0.7,0.6,0.9,0.8,0.7,0.6,100", "'retrieval-only' repeats"),
+        ],
+    )
+    def test_csv_bad_line_names_it(self, line, reason):
+        """Each malformed row is an EvaluationError naming its line; blank
+        lines still count towards the number."""
+        text = render_recall_csv(self.make_table()) + "\n" + line + "\n"
+        with pytest.raises(EvaluationError, match=rf"^recall CSV line 5: .*{re.escape(reason)}"):
+            parse_recall_csv(text)
 
     def test_markdown_structure(self):
         text = render_recall_markdown(self.make_table())

@@ -24,6 +24,13 @@ from pointloc.dataset import (
     read_frame,
     write_frame,
 )
+from pointloc.evaluation import (
+    EvaluationError,
+    RecallRow,
+    RecallTable,
+    parse_recall_csv,
+    render_recall_csv,
+)
 from pointloc.geometry import Pose, UnitQuaternion, intrinsics_from_fov
 from pointloc.pipeline import (
     LocalizationResult,
@@ -46,6 +53,11 @@ def read_query_frame(directory):
     return read_frame(directory, 0, 0, False)
 
 
+def read_recall(directory):
+    # latin-1 decodes every byte, so each flip reaches the parser
+    return parse_recall_csv((directory / "recall.csv").read_text(encoding="latin-1"))
+
+
 # file name -> (read of the directory holding it, typed error, every cut rejected)
 READERS = {
     "q_0.rgb": (read_query_frame, DatasetFormatError, True),
@@ -56,6 +68,7 @@ READERS = {
     "scene.txt": (load_scene_model, DatasetFormatError, False),
     "vocab.bin": (lambda d: load_vocabulary(d / "vocab.bin"), VocabularyFormatError, True),
     "results.csv": (lambda d: read_results(d / "results.csv"), ResultsFormatError, False),
+    "recall.csv": (read_recall, EvaluationError, False),
 }
 
 
@@ -82,6 +95,10 @@ def template(tmp_path_factory):
          LocalizationResult(Pose.identity(), 0, 0, 0, True, StageTimings(), 7, 5)],
         root / "results.csv",
     )
+    table = RecallTable()
+    table.add("vlad+gnc", RecallRow((0.5, 0.75, 0.875, 1.0), (0.625, 0.75, 0.875, 1.0), 8))
+    table.add("retrieval-only", RecallRow((0.0, 0.125, 0.25, 0.5), (0.25, 0.5, 0.75, 1.0), 8))
+    (root / "recall.csv").write_text(render_recall_csv(table), encoding="ascii")
     for read, _, _ in READERS.values():
         read(root)  # the untouched files read
     return root

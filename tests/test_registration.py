@@ -379,6 +379,7 @@ class TestSolverDigests:
     DIGESTS = {
         "ransac": "181fd28c53a30ce0540cabd490529954138b2dad4c386995ae108b031f29bf6b",
         "gnc": "82348dfe796ff522d1128cc2cde15959ffef1d5653709c75112ed3f878d2e6c6",
+        "icp": "57250573f0b390f8cabe110034bdc6c441fc41667d35313080eec99bbee5be98",
     }
 
     @staticmethod
@@ -414,6 +415,58 @@ class TestSolverDigests:
     def test_gnc_digest(self):
         outcomes = (outcome(gnc_tls_register, q, d, 0.05) for _, q, d in self.battery())
         assert self.digest(outcomes) == self.DIGESTS["gnc"]
+
+    def test_icp_digest(self):
+        """icp_refine from the RANSAC pose, as the ransac+icp method runs it."""
+
+        def ransac_then_icp(q, d, i):
+            return icp_refine(q, d, ransac_register(q, d, 0.05, 1000, i).pose, 30, 1e-6)
+
+        outcomes = (outcome(ransac_then_icp, q, d, i) for i, q, d in self.battery())
+        assert self.digest(outcomes) == self.DIGESTS["icp"]
+
+
+def small_noisy_set(rng, noise=0.03):
+    """4 to 8 matches about 0.5 m apart under a random rotation and
+    translation, with db-side noise close to a 0.05 m bound."""
+    n = rng.integers(4, 9)
+    q = rng.normal(size=(n, 3)) * 0.5
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    gt = Pose(from_axis_angle(axis, rng.uniform(0.0, np.pi)), rng.normal(size=3))
+    return q, transform_points(gt, q) + rng.normal(size=(n, 3)) * noise
+
+
+class TestInlierInvariant:
+    """Every inlier a robust solver reports lies within its bound of the pose
+    it returns: r^2 <= eps^2 for GNC-TLS, r < threshold for RANSAC."""
+
+    @staticmethod
+    def assert_inliers_within_bound(q, d, bound, seed):
+        gnc = outcome(gnc_tls_register, q, d, bound)
+        if not isinstance(gnc, Exception):
+            r = np.linalg.norm(transform_points(gnc.pose, q) - d, axis=1)
+            assert (r[gnc.inlier_indices] ** 2 <= bound * bound).all()
+        ransac = outcome(ransac_register, q, d, bound, 1000, seed)
+        if not isinstance(ransac, Exception):
+            r = np.linalg.norm(transform_points(ransac.pose, q) - d, axis=1)
+            assert (r[ransac.inlier_indices] < bound).all()
+        return gnc
+
+    @pytest.mark.parametrize("seed", [889, 39181, 45161])
+    def test_gnc_refit_keeping_two_keeps_its_pose_and_inliers(self, seed):
+        """The refit on these three inliers leaves two within the bound; the
+        pre-refit pose and its inliers are kept together."""
+        q, d = small_noisy_set(np.random.default_rng([18, seed]))
+        got = self.assert_inliers_within_bound(q, d, 0.05, seed)
+        assert not isinstance(got, Exception)
+        assert len(got.inlier_indices) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 0.06))
+    def test_small_noisy_sets(self, seed, noise):
+        q, d = small_noisy_set(np.random.default_rng(seed), noise)
+        self.assert_inliers_within_bound(q, d, 0.05, seed)
 
 
 class TestFitTriples:
