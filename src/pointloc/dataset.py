@@ -176,17 +176,18 @@ def generate_dataset_to_dir(
     """
     directory = Path(directory)
     if params.scenes == 1:
-        return _generate_scene_to_dir(seed, params, directory, 0)
-    manifests = [
+        return _generate_scene_to_dir(seed, params, directory, 0)[0]
+    generated = [
         _generate_scene_to_dir(seed, params, directory / f"scene_{s}", s)
         for s in range(params.scenes)
     ]
+    manifests, categories = zip(*generated)
     combined = DatasetManifest(
         seed=seed,
         scenes=tuple(m.scenes[0] for m in manifests),
         points=sum(m.points for m in manifests),
         poses=sum(m.poses for m in manifests),
-        categories=max(m.categories for m in manifests),
+        categories=len(set().union(*categories)),  # category ids are global
         instances=sum(m.instances for m in manifests),
         maps=len(manifests),
         params=params,
@@ -197,7 +198,8 @@ def generate_dataset_to_dir(
 
 def _generate_scene_to_dir(
     seed: int, params: GenerationParams, directory: Path, scene_index: int
-) -> DatasetManifest:
+) -> tuple[DatasetManifest, set[int]]:
+    """Write one scene; returns its manifest and the category ids its frames see."""
     directory.mkdir(parents=True, exist_ok=True)
     scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
     (directory / "scene.txt").write_text(scene_to_text(scene), encoding="ascii")
@@ -227,7 +229,7 @@ def _generate_scene_to_dir(
         params=params,
     )
     (directory / "manifest.txt").write_text(manifest_to_text(manifest), encoding="ascii")
-    return manifest
+    return manifest, categories
 
 
 def _scene_seed(dataset_seed: int, scene_index: int) -> int:
@@ -368,8 +370,9 @@ def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest
     """Parse what manifest_to_text writes: blank lines aside, every line is
     a known `key = value`, each once, with format = the one format the
     writer emits and scenes = N followed by exactly the lines scene_0 to
-    scene_<N-1>.  Settings must be finite and describe a camera
-    intrinsics_from_fov accepts."""
+    scene_<N-1>.  maps, points and poses must be the number of scene lines
+    and the sums of their points and poses.  Settings must be finite and
+    describe a camera intrinsics_from_fov accepts."""
     settings = _settings(GenerationParams())
     known = {"format", "scenes", *_COUNTS, *(key for key, _, _ in settings)}
     kv: dict[str, str] = {}
@@ -406,6 +409,14 @@ def manifest_from_text(text: str, path: str = "manifest.txt") -> DatasetManifest
         for i in range(params.scenes):  # a KeyError names a missing line
             name, seed, points, poses = kv[f"scene_{i}"].split()
             summaries.append(SceneSummary(name, int(seed), int(points), int(poses)))
+        totals = {
+            "maps": len(summaries),
+            "points": sum(s.points for s in summaries),
+            "poses": sum(s.poses for s in summaries),
+        }
+        for key, total in totals.items():
+            if int(kv[key]) != total:
+                raise ValueError(f"{key} = {kv[key]} is not the scene lines' total {total}")
         return DatasetManifest(
             scenes=tuple(summaries), params=params, **{key: int(kv[key]) for key in _COUNTS}
         )
@@ -498,10 +509,9 @@ def load_dataset(directory: str | Path) -> tuple[list[PointGroup], DatasetManife
     manifest = load_manifest(directory)
     groups = list(iter_point_groups(directory))
     poses = sum(len(g.database_frames) + len(g.query_frames) for g in groups)
-    expected = sum(s.poses for s in manifest.scenes) or manifest.poses
-    if poses != expected:
+    if poses != manifest.poses:
         raise DatasetFormatError(
-            f"{directory / 'manifest.txt'}: manifest lists {expected} poses, found {poses}"
+            f"{directory / 'manifest.txt'}: manifest lists {manifest.poses} poses, found {poses}"
         )
     return groups, manifest
 

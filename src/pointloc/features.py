@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +59,6 @@ class Keypoints:
 
     def __len__(self) -> int:
         return len(self.xy)
-
-
-class Match(NamedTuple):
-    query_index: int
-    db_index: int
-    distance: int
 
 
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:
@@ -281,8 +274,9 @@ def match(
     b: np.ndarray,
     ratio: float = 0.8,
     mutual: bool = True,
-) -> list[Match]:
-    """Ratio-tested (optionally mutual) nearest-neighbor matches a -> b.
+) -> np.ndarray:
+    """Ratio-tested (optionally mutual) nearest-neighbor matches a -> b, as an
+    (m, 2) int64 array of (query index, db index) rows.
 
     Kept when nearest < ratio * second nearest; with a single candidate the
     ratio test passes.  With mutual=True, a must also be b's nearest and the
@@ -292,37 +286,25 @@ def match(
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if len(a) == 0 or len(b) == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.int64)
     dist = hamming_matrix(a, b)
-    rows = np.arange(len(a))
-    nn, d1, second_row = _two_smallest(dist, axis=1)
-    keep = d1 < ratio * second_row
+    nn, d1, row_second = _two_smallest(dist)
+    keep = d1 < ratio * row_second
     if mutual:
-        back, col_min, col_second = _two_smallest(dist, axis=0)
-        keep &= back[nn] == rows
-        # db-side ratio: competitor excludes the pair itself
-        rival = np.where(back[nn] == rows, col_second[nn], col_min[nn])
-        keep &= d1 < ratio * rival
+        back, _, col_second = _two_smallest(dist.T)
+        # db-side ratio: where a is b's nearest, the competitor excludes the pair
+        keep &= (back[nn] == np.arange(len(a))) & (d1 < ratio * col_second[nn])
     qs = np.nonzero(keep)[0]
-    order = np.lexsort((nn[qs], qs, d1[qs]))
-    return [Match(int(qs[i]), int(nn[qs[i]]), int(d1[qs[i]])) for i in order]
+    qs = qs[np.lexsort((nn[qs], qs, d1[qs]))]
+    return np.stack([qs, nn[qs]], axis=1)
 
 
-def _two_smallest(dist: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row (axis=1) or column (axis=0): argmin, min, and the smallest
-    value excluding the argmin position (out-of-range when length is 1)."""
-    amin = np.argmin(dist, axis=axis)
-    if axis == 1:
-        m1 = dist[np.arange(dist.shape[0]), amin]
-    else:
-        m1 = dist[amin, np.arange(dist.shape[1])]
-    if dist.shape[axis] < 2:
-        m2 = np.full_like(m1, DESCRIPTOR_BITS + 1)
-        return amin, m1, m2
+def _two_smallest(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: argmin, min, and the smallest value excluding the argmin
+    position (out of range when a row has one value)."""
+    rows = np.arange(dist.shape[0])
+    amin = np.argmin(dist, axis=1)
     masked = dist.copy()
-    if axis == 1:
-        masked[np.arange(dist.shape[0]), amin] = DESCRIPTOR_BITS + 1
-    else:
-        masked[amin, np.arange(dist.shape[1])] = DESCRIPTOR_BITS + 1
-    return amin, m1, masked.min(axis=axis)
-
+    m1 = masked[rows, amin]
+    masked[rows, amin] = DESCRIPTOR_BITS + 1
+    return amin, m1, masked.min(axis=1)

@@ -248,4 +248,6 @@ def pose_from_text(line: str) -> Pose:
     if len(parts) != 7:
         raise ValueError(f"expected 7 fields 'tx ty tz qw qx qy qz', got {len(parts)}")
     vals = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"pose {line!r} has a non-finite value")
     return Pose(UnitQuaternion(vals[3], vals[4], vals[5], vals[6]), np.array(vals[:3]))

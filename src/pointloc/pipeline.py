@@ -387,8 +387,8 @@ def localize(
     db_frame = db.frames[top1_id]
     pose, match_count, inliers, fallback = db_frame.pose, 0, 0, True
     if not retrieval_only:
-        matches = match(query_desc, db_frame.descriptors, config.ratio, config.mutual)
-        match_count = len(matches)
+        qi, di = match(query_desc, db_frame.descriptors, config.ratio, config.mutual).T
+        match_count = len(qi)
         clock.lap("feature_matching")
 
         q_points, q_valid = backproject_keypoints(
@@ -397,8 +397,6 @@ def localize(
         d_points, d_valid = backproject_keypoints(
             db_frame.keypoint_xy, db_frame.keypoint_depth, db.intrinsics
         )
-        qi = np.array([m.query_index for m in matches], dtype=np.int64)
-        di = np.array([m.db_index for m in matches], dtype=np.int64)
         lifted = q_valid[qi] & d_valid[di]
         p_query, p_db = q_points[qi[lifted]], d_points[di[lifted]]
 
@@ -496,7 +494,6 @@ def read_results(path: str | Path) -> list[ResultRow]:
                 raise ValueError(f"expected 14 fields, got {len(parts)}")
             if parts[3] not in ("0", "1"):
                 raise ValueError(f"fallback must be 0 or 1, got {parts[3]!r}")
-            numbers = [_finite(v) for v in parts[4:]]
             rows.append(
                 ResultRow(
                     query_frame_id=int(parts[0]),
@@ -504,9 +501,9 @@ def read_results(path: str | Path) -> list[ResultRow]:
                     top1_frame_id=int(parts[2]),
                     fallback=parts[3] == "1",
                     pose=pose_from_text(" ".join(parts[4:11])),
-                    t_retrieval=numbers[7],
-                    t_matching=numbers[8],
-                    t_registration=numbers[9],
+                    t_retrieval=_finite(parts[11]),
+                    t_matching=_finite(parts[12]),
+                    t_registration=_finite(parts[13]),
                 )
             )
         except ValueError as e:

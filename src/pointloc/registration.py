@@ -453,7 +453,7 @@ def gnc_tls_register(
     _CLIQUE_TIES_MATCHES matches the tied maximum clique whose umeyama fit
     leaves the lowest truncated cost is kept (the first on equal cost); the
     search stops at a fixed amount of work (see _max_cliques).  From the clique's
-    umeyama fit, weighted fits alternate with closed-form TLS weights for
+    umeyama fit (each clique is fitted once), weighted fits alternate with closed-form TLS weights for
     sum(min(r^2/eps^2, 1)) on the clique as the control value falls from
     2 (max residual / noise bound)^2 by 1.4 a step to 1, keeping the best pose
     (the recorded cost never increases).  The inliers, all matches within the
@@ -469,19 +469,24 @@ def gnc_tls_register(
     def truncated_cost(res2: np.ndarray) -> float:
         return float(np.minimum(res2 / eps2, 1.0).sum())
 
-    def fit_cost(clique: np.ndarray) -> float:
+    def fitted(clique: np.ndarray) -> tuple[float, np.ndarray, Pose | None]:
+        """The clique's truncated cost over all matches, and its umeyama fit."""
         try:
-            return truncated_cost(_residuals(umeyama(q[clique], d[clique]), q, d) ** 2)
+            pose = umeyama(q[clique], d[clique])
         except DegenerateConfigurationError:
-            return np.inf
+            return np.inf, clique, None
+        return truncated_cost(_residuals(pose, q, d) ** 2), clique, pose
 
     dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
     cliques = _max_cliques(np.abs(dq - dd) <= 2.0 * noise_bound, len(q) <= _CLIQUE_TIES_MATCHES)
     if len(cliques[0]) < 3:
         raise RegistrationFailedError(f"the largest consistent clique has {len(cliques[0])} points")
-    clique = min(cliques, key=fit_cost) if len(cliques) > 1 else cliques[0]
+    clique, pose = cliques[0], None
+    if len(cliques) > 1:
+        _, clique, pose = min(map(fitted, cliques), key=lambda fit: fit[0])
     qc, dc = q[clique], d[clique]
-    pose = umeyama(qc, dc)
+    if pose is None:  # raises for a collinear clique
+        pose = umeyama(qc, dc)
     r2 = _residuals(pose, qc, dc) ** 2
     history = [truncated_cost(r2)]
     mu = 2.0 * float(r2.max()) / eps2

@@ -333,17 +333,18 @@ def describe_dense(gray: np.ndarray, keypoints):
     return np.packbits(bits, axis=1), kept
 
 
-def lift_matches_scalar(query_xy, query_depth, db_xy, db_depth, matches, k):
-    """Matched keypoint pairs lifted to 3D one match at a time, kept only
-    where both depths are valid: the original loop in pipeline.localize."""
+def lift_matches_scalar(query_xy, query_depth, db_xy, db_depth, query_index, db_index, k):
+    """Matched keypoint pairs (query_index[i], db_index[i]) lifted to 3D one
+    match at a time, kept only where both depths are valid: the original
+    loop in pipeline.localize."""
     from pointloc.geometry import backproject
     from pointloc.pipeline import INVALID_DEPTH_MAX
     from pointloc.render import DEPTH_MAX
 
     p_query, p_db = [], []
-    for m in matches:
-        qx, qy = query_xy[m.query_index]
-        dx, dy = db_xy[m.db_index]
+    for qi, di in zip(query_index, db_index):
+        qx, qy = query_xy[qi]
+        dx, dy = db_xy[di]
         qd = float(query_depth[int(round(qy)), int(round(qx))])
         dd = float(db_depth[int(round(dy)), int(round(dx))])
         if not (0.0 < qd < INVALID_DEPTH_MAX and 0.0 < dd < INVALID_DEPTH_MAX):

@@ -254,6 +254,40 @@ class TestCorruptDataset:
         assert self.evaluate(workspace["results"], ds) == EXIT_DATA
         assert f"corrupt pose file {victim}" in capsys.readouterr().err
 
+    @staticmethod
+    def replace_first_field(pose_file, value):
+        fields = pose_file.read_text().split()
+        pose_file.write_text(" ".join([value, *fields[1:]]) + "\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_query_pose_is_data_error(self, workspace, tmp_path, capsys, value):
+        """Evaluating against it would score the query as a miss."""
+        ds, q_dir = self.copy(workspace, tmp_path)
+        victim = sorted(q_dir.glob("q_*.pose"))[0]
+        self.replace_first_field(victim, value)
+        report = tmp_path / "report.csv"
+        rc = main(
+            ["evaluate", "--results", str(workspace["results"]), "--dataset", str(ds),
+             "--format", "csv", "--out", str(report)]
+        )
+        assert rc == EXIT_DATA
+        assert f"corrupt pose file {victim}: " in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_database_pose_is_data_error(self, workspace, tmp_path, capsys, value):
+        """A database built from it would fail to load."""
+        ds, _ = self.copy(workspace, tmp_path)
+        victim = sorted((ds / "points").iterdir())[0] / "db_0.pose"
+        self.replace_first_field(victim, value)
+        rc = main(
+            ["build-db", "--dataset", str(ds), "--vocab", str(workspace["vocab"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
+        )
+        assert rc == EXIT_DATA
+        assert f"corrupt pose file {victim}: " in capsys.readouterr().err
+        assert not (tmp_path / "db.bin").exists()
+
     def test_truncated_raster_is_data_error(self, workspace, tmp_path, capsys):
         ds, q_dir = self.copy(workspace, tmp_path)
         victim = sorted(q_dir.glob("q_*.rgb"))[0]

@@ -343,6 +343,15 @@ class TestManifest:
             manifest = generate_dataset_to_dir(5, params, tmp_path / f"ds{scenes}")
             assert load_dataset(tmp_path / f"ds{scenes}")[1] == manifest
 
+    def test_totals_off_the_scene_lines_fail_to_load(self, tmp_path):
+        generate_dataset_to_dir(5, replace(TINY, queries_per_point=1), tmp_path)
+        path = tmp_path / "manifest.txt"
+        text = path.read_text()
+        path.write_text(re.sub(r"^poses = .*$", "poses = 999", text, flags=re.M))
+        message = f"corrupt manifest {re.escape(str(path))}: poses = 999 is not"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -386,6 +395,22 @@ class TestManifest:
     def test_scene_lines_must_number_the_scenes(self, edit, message):
         with pytest.raises(DatasetFormatError, match=f"corrupt manifest m.txt: .*{message}"):
             manifest_from_text(edit(self.one_scene_text()), "m.txt")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("maps = 7", "maps = 7 is not the scene lines' total 1"),
+            ("points = 40", "points = 40 is not the scene lines' total 2"),
+            ("poses = 999", "poses = 999 is not the scene lines' total 3"),
+        ],
+    )
+    def test_totals_must_be_those_of_the_scene_lines(self, line, message):
+        text = self.one_scene_text()
+        key = line.split()[0]
+        edited = re.sub(rf"^{key} = .*$", line, text, count=1, flags=re.M)
+        assert edited != text
+        with pytest.raises(DatasetFormatError, match=f"corrupt manifest m.txt: {message}"):
+            manifest_from_text(edited, "m.txt")
 
     @pytest.mark.parametrize("key", ["fov_deg", "query_radius", "scene_floor_width"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -447,8 +472,19 @@ def _manifests(params, min_scenes):
     )
 
 
+def _with_scene_totals(m):
+    """The manifest with maps, points and poses those of its scene lines."""
+    return replace(
+        m,
+        maps=len(m.scenes),
+        points=sum(s.points for s in m.scenes),
+        poses=sum(s.poses for s in m.scenes),
+    )
+
+
 # Any values at all, and values the reader accepts: finite settings, a
-# camera intrinsics_from_fov can make and at least one scene.
+# camera intrinsics_from_fov can make, at least one scene and the totals of
+# the scene lines.
 manifests = _manifests(
     _params_of(GenerationParams, floats_or_ints, scene=_params_of(SceneParams, floats_or_ints)),
     min_scenes=0,
@@ -462,14 +498,14 @@ sound_manifests = _manifests(
         scene=_params_of(SceneParams, finite),
     ),
     min_scenes=1,
-)
+).map(_with_scene_totals)
 
 # Checks the field-derived reader has and the hand-listed one had not: a
 # manifest the listed reader loads may fail on these and only these.
 GAINED_CHECKS = re.compile(
     r"is not finite|'scenes'|scene_<i> lines for|'scene_\d+'"
     r"|fov must be|focal lengths must be positive|too large|division by zero"
-    r"|'format'|is not pointloc-dataset-v1"
+    r"|'format'|is not pointloc-dataset-v1|is not the scene lines' total"
 )
 
 
@@ -522,3 +558,24 @@ class TestDatasetStats:
         assert manifest.instances == len(union)
         cats = {scene.category_of(i) for i in union}
         assert manifest.categories == len(cats - {None})
+
+    def test_two_scene_categories_are_the_union_seen(self, tmp_path):
+        """Category ids are global, so the scenes' sets are united, not
+        counted per scene: with dataset seed 1 the two scenes see 7 and 8
+        categories, 9 in all."""
+        params = GenerationParams(
+            scenes=2, queries_per_point=0, resolution=32,
+            scene=SceneParams(floor_width=6.0, floor_depth=6.0),
+        )
+        manifest = generate_dataset_to_dir(1, params, tmp_path / "ds")
+        instances, cats = 0, set()
+        for s in range(2):
+            scene, groups = generate_scene_dataset(seed=1, params=params, scene_index=s)
+            union = set()
+            for g in groups:
+                for f in g.frames():
+                    union |= {int(v) for v in f.instances.ravel() if v != 0}
+            instances += len(union)
+            cats |= {scene.category_of(i) for i in union} - {None}
+        assert manifest.instances == instances
+        assert manifest.categories == len(cats)

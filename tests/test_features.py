@@ -11,7 +11,6 @@ from pointloc.features import (
     BORDER_MARGIN,
     DESCRIPTOR_BITS,
     Keypoints,
-    Match,
     describe,
     detect,
     hamming_matrix,
@@ -303,43 +302,58 @@ class TestMatch:
         desc = rng.integers(0, 256, size=(20, 32), dtype=np.uint8)
         desc = np.unique(desc, axis=0)
         ms = match(desc, desc)
-        assert len(ms) == len(desc)
-        assert all(m.distance == 0 for m in ms)
-        assert all(m.query_index == m.db_index for m in ms)
+        assert ms.tolist() == [[i, i] for i in range(len(desc))]
 
     def test_empty_db(self, rng):
         desc = rng.integers(0, 256, size=(5, 32), dtype=np.uint8)
-        assert match(desc, np.zeros((0, 32), dtype=np.uint8)) == []
-        assert match(np.zeros((0, 32), dtype=np.uint8), desc) == []
+        for ms in (match(desc, desc[:0]), match(desc[:0], desc)):
+            assert ms.shape == (0, 2) and ms.dtype == np.int64
 
     @pytest.mark.parametrize("mutual", [True, False])
     def test_matches_brute_force_oracle(self, rng, mutual):
         a = rng.integers(0, 256, size=(100, 32), dtype=np.uint8)
         b = rng.integers(0, 256, size=(100, 32), dtype=np.uint8)
-        got = [(m.query_index, m.db_index, m.distance) for m in match(a, b, mutual=mutual)]
-        assert got == brute_force_match(a, b, mutual=mutual)
+        ms = match(a, b, mutual=mutual)
+        assert ms.dtype == np.int64
+        assert ms.tolist() == [[i, j] for i, j, _ in brute_force_match(a, b, mutual=mutual)]
 
     def test_mutual_symmetry(self, rng):
         for _ in range(5):
             a = rng.integers(0, 256, size=(60, 32), dtype=np.uint8)
             b = rng.integers(0, 256, size=(60, 32), dtype=np.uint8)
-            fwd = {(m.query_index, m.db_index) for m in match(a, b, ratio=1.0, mutual=True)}
-            bwd = {(m.db_index, m.query_index) for m in match(b, a, ratio=1.0, mutual=True)}
+            fwd = {(i, j) for i, j in match(a, b, ratio=1.0, mutual=True).tolist()}
+            bwd = {(j, i) for i, j in match(b, a, ratio=1.0, mutual=True).tolist()}
             assert fwd == bwd
 
     def test_single_candidate_passes_ratio(self):
         a = np.zeros((1, 32), dtype=np.uint8)
         b = np.zeros((1, 32), dtype=np.uint8)
         b[0, 0] = 3
-        ms = match(a, b)
-        assert len(ms) == 1 and ms[0].distance == 2
+        assert hamming_matrix(a, b).tolist() == [[2]]
+        assert match(a, b).tolist() == [[0, 0]]
 
     def test_sorted_by_distance(self, rng):
         a = rng.integers(0, 256, size=(50, 32), dtype=np.uint8)
         b = rng.integers(0, 256, size=(50, 32), dtype=np.uint8)
         ms = match(a, b, mutual=False)
-        dists = [m.distance for m in ms]
-        assert dists == sorted(dists)
+        dists = hamming_matrix(a, b)[ms[:, 0], ms[:, 1]]
+        assert np.all(np.diff(dists) >= 0)
+
+    def test_duplicate_nearest_fails_the_ratio_test(self, rng):
+        """A query whose nearest db descriptor appears twice has a second
+        nearest at the same distance, so the ratio test rejects it."""
+        r = rng.integers(0, 256, size=(3, 32), dtype=np.uint8)
+        b = np.concatenate([r, r[1:2]])
+        for mutual in (True, False):
+            assert match(r, b, mutual=mutual).tolist() == [[0, 0], [2, 2]]
+
+    def test_identical_queries_sharing_a_nearest_are_not_mutual(self, rng):
+        """Two identical queries with the same nearest db descriptor: the
+        db-side ratio test drops both, the one-sided match keeps both."""
+        r = rng.integers(0, 256, size=(3, 32), dtype=np.uint8)
+        a = np.concatenate([r, r[2:3]])
+        assert match(a, r, mutual=True).tolist() == [[0, 0], [1, 1]]
+        assert match(a, r, mutual=False).tolist() == [[0, 0], [1, 1], [2, 2], [3, 2]]
 
 
 class TestSelfConsistency:
@@ -358,9 +372,5 @@ class TestSelfConsistency:
         d2, _ = describe(g2, kp2)
         ms = match(d1, d2)
         assert len(ms) > 20
-        good = sum(
-            1
-            for m in ms
-            if np.linalg.norm(kp1.xy[m.query_index] - kp2.xy[m.db_index]) < 1.0
-        )
-        assert good / len(ms) >= 0.9
+        offsets = np.linalg.norm(kp1.xy[ms[:, 0]] - kp2.xy[ms[:, 1]], axis=1)
+        assert np.mean(offsets < 1.0) >= 0.9

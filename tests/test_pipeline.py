@@ -17,7 +17,7 @@ from oracles import lift_cloud_scalar, lift_matches_scalar
 
 from pointloc import pipeline
 from pointloc.dataset import GenerationParams
-from pointloc.features import DESCRIPTOR_BITS, Match
+from pointloc.features import DESCRIPTOR_BITS
 from pointloc.geometry import CameraIntrinsics, Pose, compose, rotation_error, translation_error
 from pointloc.pipeline import (
     INVALID_DEPTH_MAX,
@@ -406,19 +406,17 @@ class TestKeypointLifting:
         q_depth, d_depth = q_levels / DEPTH_LEVELS, d_levels / DEPTH_LEVELS
         if n_query == 0 or n_db == 0:
             n_matches = 0
-        matches = [
-            Match(int(rng.integers(n_query)), int(rng.integers(n_db)), 0) for _ in range(n_matches)
-        ]
+        qi, di = np.array(
+            [(rng.integers(n_query), rng.integers(n_db)) for _ in range(n_matches)], dtype=np.int64
+        ).reshape(-1, 2).T
         q_points, q_valid = backproject_keypoints(q_xy, keypoint_depths(q_levels, q_xy), self.K)
         d_points, d_valid = backproject_keypoints(d_xy, keypoint_depths(d_levels, d_xy), self.K)
         assert np.array_equal(q_points[q_valid], lift_cloud_scalar(q_xy, q_depth, self.K))
         assert np.array_equal(d_points[d_valid], lift_cloud_scalar(d_xy, d_depth, self.K))
 
         # the matched pairs as localize selects them
-        qi = np.array([m.query_index for m in matches], dtype=np.int64)
-        di = np.array([m.db_index for m in matches], dtype=np.int64)
         lifted = q_valid[qi] & d_valid[di]
-        want_q, want_d = lift_matches_scalar(q_xy, q_depth, d_xy, d_depth, matches, self.K)
+        want_q, want_d = lift_matches_scalar(q_xy, q_depth, d_xy, d_depth, qi, di, self.K)
         assert np.array_equal(q_points[qi[lifted]], want_q)
         assert np.array_equal(d_points[di[lifted]], want_d)
 

@@ -633,10 +633,9 @@ class TestGncTls:
         assert [c.tolist() for c in registration._max_cliques(adj, False)] == [[0, 1, 2]]
         assert [c.tolist() for c in registration._max_cliques(adj, True)] == [[0, 1, 2], [0, 1, 3]]
 
-    def test_tied_cliques_keep_the_one_that_fits(self):
-        """Six matches of a seed-7 desk query: two 3-cliques tie, (0, 3, 5)
-        comes first in the vertex order, yet its fit leaves only 2 matches
-        within the bound, while (0, 2, 3) fits all three."""
+    @staticmethod
+    def tied_matches():
+        """Six matches of a seed-7 desk query whose two maximum cliques tie."""
         q = np.array([
             [-3.6163488498512235, -0.7388239585717554, 9.954680704966812],
             [-5.485961103799496, 1.097192220759899, 8.025177386129549],
@@ -653,11 +652,33 @@ class TestGncTls:
             [-3.5450802767605087, 1.2499994039444569, 5.245899137865263],
             [-1.4049410620279237, -1.7500143053330277, 6.309910734721904],
         ])
+        return q, d
+
+    def test_tied_cliques_keep_the_one_that_fits(self):
+        """Two 3-cliques tie, (0, 3, 5) comes first in the vertex order, yet
+        its fit leaves only 2 matches within the bound, while (0, 2, 3) fits
+        all three."""
+        q, d = self.tied_matches()
         adj = consistency_graph_scalar(q, d, 0.05)
         tied = [c.tolist() for c in registration._max_cliques(adj, True)]
         assert tied == [[0, 3, 5], [0, 2, 3]]
         res = gnc_tls_register(q, d, noise_bound=0.05)
         assert res.inlier_indices.tolist() == [0, 2, 3]
+
+    def test_tied_cliques_are_fitted_once_each(self, monkeypatch):
+        """The winner's tie-break fit is the anneal start: one umeyama call
+        per tied clique, then the final refit, and no weighted step."""
+        q, d = self.tied_matches()
+        calls = []
+
+        def counted(p_query, p_db, weights=None):
+            calls.append((p_query.tolist(), weights))
+            return umeyama(p_query, p_db, weights)
+
+        monkeypatch.setattr(registration, "umeyama", counted)
+        gnc_tls_register(q, d, noise_bound=0.05)
+        fitted = [q[[0, 3, 5]].tolist(), q[[0, 2, 3]].tolist(), q[[0, 2, 3]].tolist()]
+        assert calls == [(points, None) for points in fitted]
 
     def test_dense_graph_stops_at_the_work_cap(self, monkeypatch):
         """300 unrelated matches in a 0.2 m cube: the consistency graph is so

@@ -101,4 +101,9 @@ def test_probes_count_on_a_traced_build_and_queries(small_dataset, retrieval, me
     top1 = tracer.counts["query"]["retrieval.query_top1"]
     assert top1["calls"] == len(queries)
     assert top1["bytes_scanned"] == len(queries) * db.index.matrix.nbytes
-    assert tracer.counts["build"]["features.describe"]["calls"] == len(db.frames)
+    build, query = tracer.counts["build"], tracer.counts["query"]
+    assert build["features.describe"]["calls"] == len(db.frames)
+    # exact counts: a probe that read another shape of result would miscount
+    assert build["features.describe"]["descriptors"] == sum(len(f.descriptors) for f in db.frames)
+    assert query["features.match"]["matches"] == sum(r.match_count for r in results)
+    assert query["registration.solve"]["inliers"] == sum(r.inlier_count for r in results)
