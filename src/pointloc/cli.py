@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages so each is independently runnable:
 
     pointloc generate    --seed S --scenes N --out DIR [--queries M] [--noise F] ...
-    pointloc train-vocab --dataset DIR --k K --seed S --out FILE
+    pointloc train-vocab --dataset DIR --config FILE --k K --seed S --out FILE
     pointloc build-db    --dataset DIR --vocab FILE --config FILE --out DB
     pointloc localize    --db DB --dataset DIR --config FILE --out results.csv
     pointloc evaluate    --results results.csv --dataset DIR --format markdown
@@ -73,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train-vocab", help="train a visual vocabulary on database frames")
     t.add_argument("--dataset", required=True)
+    t.add_argument("--config", required=True)
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--seed", type=int, required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--max-keypoints", type=int, default=1000)
     t.set_defaults(func=cmd_train_vocab)
 
     b = sub.add_parser("build-db", help="precompute the localization database")
@@ -142,12 +142,12 @@ def cmd_generate(args) -> int:
 
 def cmd_train_vocab(args) -> int:
     from pointloc.dataset import iter_point_groups
-    from pointloc.pipeline import PipelineConfig, train_vocabulary_for_dataset
+    from pointloc.pipeline import load_config, train_vocabulary_for_dataset
     from pointloc.retrieval import save_vocabulary
 
     if args.k < 1:
         raise ValueError("--k must be at least 1")
-    config = PipelineConfig(max_keypoints=args.max_keypoints)
+    config = load_config(args.config)
     vocab = train_vocabulary_for_dataset(
         iter_point_groups(args.dataset), k=args.k, seed=args.seed, config=config
     )

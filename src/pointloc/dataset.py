@@ -16,8 +16,11 @@ Directory layout (one scene):
 rgb is binary PPM (P6, maxval 255); depth and inst are binary PGM (P5,
 maxval 65535, big-endian 16-bit); pose files hold one
 "tx ty tz qw qx qy qz" line.  A multi-scene dataset nests single-scene
-directories under scene_<i>/ with an aggregate manifest at the root; read
-together, the point ids of scene_<i> are offset by i * SCENE_POINT_ID_STRIDE.
+directories under scene_0/ to scene_<N-1>/, each with its scene.txt, with an
+aggregate manifest at the root; read together, the point ids of scene_<i>
+are offset by i * SCENE_POINT_ID_STRIDE.  Scene, point and frame ids are
+canonical decimal (digits, no leading zero), and every queries/<pid> has
+its points/<pid>.
 """
 
 from __future__ import annotations
@@ -170,11 +173,14 @@ def generate_dataset_to_dir(
     """Generate a dataset straight to disk, one point at a time.
 
     One scene is written into `directory` itself; params.scenes > 1 scenes
-    go to scene_<i>/ under it, next to an aggregate manifest.  Keeps at most
-    one point group in memory, so full-size datasets (about 1 GB of rasters)
-    generate in bounded space.
+    go to scene_<i>/ under it, next to an aggregate manifest.  The directory
+    must be new or empty, so no frame of an earlier dataset stays behind.
+    Keeps at most one point group in memory, so full-size datasets (about
+    1 GB of rasters) generate in bounded space.
     """
     directory = Path(directory)
+    if directory.exists() and any(directory.iterdir()):
+        raise ValueError(f"output directory {directory} is not empty")
     if params.scenes == 1:
         return _generate_scene_to_dir(seed, params, directory, 0)[0]
     generated = [
@@ -310,8 +316,6 @@ def write_frame(frame: Frame, directory: Path) -> None:
 
 
 def _read_pose(path: Path) -> Pose:
-    if not path.exists():
-        raise DatasetFormatError(f"missing pose file {path}")
     try:
         return pose_from_text(path.read_text(encoding="ascii").strip())
     except (OSError, ValueError) as e:
@@ -448,59 +452,64 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
     return manifest_from_text(text, str(path))
 
 
-def _numeric_subdirs(path: Path) -> list[int]:
-    if not path.exists():
-        return []
-    return sorted(int(p.name) for p in path.iterdir() if p.is_dir() and p.name.isdigit())
-
-
-def _frame_ids(directory: Path, prefix: str) -> list[int]:
-    """Frame ids of the <prefix>_<id>.pose files in a point directory."""
-    if not directory.exists():
-        return []
+def _ids(directory: Path, pattern: str) -> list[int]:
+    """Sorted ids of the entries of directory that glob `pattern` matches;
+    what its `*` matches must be a canonical decimal id (no leading zero)."""
+    prefix, _, suffix = pattern.partition("*")
     ids = []
-    for p in directory.glob(f"{prefix}_*.pose"):
-        text = p.stem.split("_", 1)[1]
+    for p in directory.glob(pattern):
+        text = p.name[len(prefix) : len(p.name) - len(suffix)]
         if not (text.isdecimal() and str(int(text)) == text):
-            raise DatasetFormatError(f"{p}: not a {prefix}_<frame id>.pose file")
+            raise DatasetFormatError(f"{p}: {text!r} is not a canonical decimal id")
         ids.append(int(text))
     return sorted(ids)
 
 
-def _scenes(root: str | Path) -> Iterator[tuple[Path, int]]:
-    """(scene directory, point id offset) for every scene of a dataset."""
-    for s, scene_dir in enumerate(scene_directories(root)):
-        yield scene_dir, s * SCENE_POINT_ID_STRIDE
+def _walk(root: str | Path) -> Iterator[tuple[int, Path, Path]]:
+    """(point id, database directory, query directory) of every Point of a
+    dataset, in scene order and then point order, by the layout rules of
+    this module's docstring."""
+    root = Path(root)
+    indices = _ids(root, "scene_*")
+    if indices != list(range(len(indices))) or indices and (root / "scene.txt").exists():
+        raise DatasetFormatError(
+            f"{root / f'scene_{indices[-1]}'}: a dataset holds either scene.txt "
+            f"or scene_0 to scene_<N-1>, here N = {len(indices)}"
+        )
+    scenes = [root / f"scene_{i}" for i in indices] or [root]
+    for scene in scenes:
+        if not (scene / "scene.txt").exists():
+            raise DatasetFormatError(f"missing scene file {scene / 'scene.txt'}")
+    for s, scene in enumerate(scenes):
+        points, queries = scene / "points", scene / "queries"
+        pids = _ids(points, "*")
+        stray = sorted(set(_ids(queries, "*")) - set(pids))
+        if stray:
+            raise DatasetFormatError(
+                f"{queries / str(stray[0])}: queries of no Point, {points / str(stray[0])} is missing"
+            )
+        for pid in pids:
+            yield pid + s * SCENE_POINT_ID_STRIDE, points / str(pid), queries / str(pid)
 
 
 def iter_point_groups(root: str | Path) -> Iterator[PointGroup]:
     """Stream the point groups of every scene of a dataset, in scene order."""
-    for directory, offset in _scenes(root):
-        points_root = directory / "points"
-        queries_root = directory / "queries"
-        for pid in _numeric_subdirs(points_root):
-            db_dir = points_root / str(pid)
-            q_dir = queries_root / str(pid)
-            gid = pid + offset
-            db = [read_frame(db_dir, gid, k, True) for k in _frame_ids(db_dir, "db")]
-            queries = [read_frame(q_dir, gid, k, False) for k in _frame_ids(q_dir, "q")]
-            if not db:
-                raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
-            yield PointGroup(gid, tuple(db), tuple(queries))
+    for pid, db_dir, q_dir in _walk(root):
+        db = [read_frame(db_dir, pid, k, True) for k in _ids(db_dir, "db_*.pose")]
+        queries = [read_frame(q_dir, pid, k, False) for k in _ids(q_dir, "q_*.pose")]
+        if not db:
+            raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
+        yield PointGroup(pid, tuple(db), tuple(queries))
 
 
 def query_poses(root: str | Path) -> dict[tuple[int, int], Pose]:
     """(point id, frame id) -> ground-truth pose of every query of a dataset,
     keyed by the point ids iter_point_groups gives."""
-    poses = {}
-    for directory, offset in _scenes(root):
-        queries_root = directory / "queries"
-        for pid in _numeric_subdirs(queries_root):
-            q_dir = queries_root / str(pid)
-            for k in _frame_ids(q_dir, "q"):
-                pose_path = _frame_stem(q_dir, k, False).with_suffix(".pose")
-                poses[(pid + offset, k)] = _read_pose(pose_path)
-    return poses
+    return {
+        (pid, k): _read_pose(_frame_stem(q_dir, k, False).with_suffix(".pose"))
+        for pid, _, q_dir in _walk(root)
+        for k in _ids(q_dir, "q_*.pose")
+    }
 
 
 def load_dataset(directory: str | Path) -> tuple[list[PointGroup], DatasetManifest]:
@@ -514,17 +523,3 @@ def load_dataset(directory: str | Path) -> tuple[list[PointGroup], DatasetManife
             f"{directory / 'manifest.txt'}: manifest lists {manifest.poses} poses, found {poses}"
         )
     return groups, manifest
-
-
-def scene_directories(root: str | Path) -> list[Path]:
-    """Single-scene dirs composing a dataset: the root itself, or scene_* children."""
-    root = Path(root)
-    if (root / "scene.txt").exists():
-        return [root]
-    subdirs = sorted(
-        (p for p in root.glob("scene_*") if p.is_dir()),
-        key=lambda p: int(p.name.split("_", 1)[1]),
-    )
-    if not subdirs:
-        raise DatasetFormatError(f"missing scene file {root / 'scene.txt'}")
-    return subdirs

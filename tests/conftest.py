@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,51 @@ def generate_scene_dataset(
     scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
     grid = generate_point_grid(scene, params.grid_spacing, params.camera_height)
     return scene, [generate_point_frames(scene, gp, params, seed, scene_index) for gp in grid]
+
+
+# --- malformed dataset layouts ------------------------------------------------
+# Each edit takes a dataset root and its first scene directory (the root
+# itself for a single scene), breaks one layout rule, and returns the path
+# the reader's error must name.
+
+
+def _query_directory_without_point(root: Path, scene: Path) -> Path:
+    q_dir = scene / "queries" / "99"
+    q_dir.mkdir()
+    (q_dir / "q_0.pose").write_text("0 0 0 1 0 0 0\n")
+    return q_dir
+
+
+def _scene_directory_not_numbered(root: Path, scene: Path) -> Path:
+    (root / "scene_old").mkdir()
+    return root / "scene_old"
+
+
+def _scene_numbers_with_a_gap(root: Path, scene: Path) -> Path:
+    (root / "scene_1").rename(root / "scene_2")
+    return root / "scene_2"
+
+
+def _scene_without_scene_file(root: Path, scene: Path) -> Path:
+    (root / "scene_1" / "scene.txt").unlink()
+    return root / "scene_1" / "scene.txt"
+
+
+def _zero_padded_point_directory(root: Path, scene: Path) -> Path:
+    point = min((scene / "points").iterdir())
+    padded = point.with_name("00" + point.name)
+    point.rename(padded)
+    return padded
+
+
+# name -> (edit, the fewest scenes it applies to)
+MALFORMED_LAYOUTS = {
+    "query-dir-without-point": (_query_directory_without_point, 1),
+    "scene-old": (_scene_directory_not_numbered, 1),
+    "scene-gap": (_scene_numbers_with_a_gap, 2),
+    "scene-without-scene-txt": (_scene_without_scene_file, 2),
+    "zero-padded-point": (_zero_padded_point_directory, 1),
+}
 
 
 # --- hypothesis strategies and fixtures ---------------------------------------

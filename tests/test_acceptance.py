@@ -396,7 +396,7 @@ class TestCriterion6Determinism:
                 "--out", str(d / "ds"), "--queries", "4", "--floor", "6",
             )
             run_cli(
-                d, threads, "train-vocab", "--dataset", str(d / "ds"),
+                d, threads, "train-vocab", "--dataset", str(d / "ds"), "--config", str(cfg),
                 "--k", "32", "--seed", "0", "--out", str(d / "vocab.bin"),
             )
             run_cli(

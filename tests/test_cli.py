@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import argparse
+import shlex
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, main
+from conftest import MALFORMED_LAYOUTS
+
+from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from pointloc.dataset import read_pgm16, read_ppm, write_pgm16, write_ppm
 from pointloc.evaluation import parse_recall_csv
 
@@ -40,7 +45,8 @@ def workspace(tmp_path_factory):
     config.write_text(CONFIG_TEXT)
     vocab = root / "vocab.bin"
     assert main(
-        ["train-vocab", "--dataset", str(dataset), "--k", "32", "--seed", "0", "--out", str(vocab)]
+        ["train-vocab", "--dataset", str(dataset), "--config", str(config), "--k", "32",
+         "--seed", "0", "--out", str(vocab)]
     ) == EXIT_OK
     db = root / "db.bin"
     assert main(
@@ -78,6 +84,64 @@ class TestGenerate:
         assert (out / "manifest.txt").exists()
         assert (out / "scene_0" / "scene.txt").exists()
         assert (out / "scene_1" / "scene.txt").exists()
+
+
+    def test_non_empty_output_directory_is_usage_error(self, tmp_path, capsys):
+        """A second generate into the same directory would leave the first
+        one's extra query frames behind, to be read with the new dataset."""
+        out = tmp_path / "ds"
+        small = ["--seed", "5", "--out", str(out), "--resolution", "32", "--floor", "6"]
+        assert main(["generate", *small, "--queries", "3"]) == EXIT_OK
+        before = sorted(out.rglob("*"))
+        capsys.readouterr()
+        assert main(["generate", *small, "--queries", "1"]) == EXIT_USAGE
+        assert f"output directory {out} is not empty" in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == before
+
+
+@pytest.fixture(scope="module")
+def two_scenes(tmp_path_factory):
+    """A small 2-scene dataset written by the CLI."""
+    out = tmp_path_factory.mktemp("two") / "ds"
+    rc = main(
+        ["generate", "--seed", "3", "--scenes", "2", "--out", str(out),
+         "--queries", "1", "--noise", "0", "--floor", "6", "--resolution", "64"]
+    )
+    assert rc == EXIT_OK
+    return out
+
+
+class TestMalformedLayout:
+    """Every command that reads a dataset walks it the same way, so each
+    malformed layout exits 3 from each of them, naming the offending path."""
+
+    COMMANDS = {
+        "train-vocab": lambda w, ds, out: [
+            "train-vocab", "--dataset", str(ds), "--config", str(w["config"]),
+            "--k", "8", "--seed", "0", "--out", str(out)],
+        "build-db": lambda w, ds, out: [
+            "build-db", "--dataset", str(ds), "--vocab", str(w["vocab"]),
+            "--config", str(w["config"]), "--out", str(out)],
+        "localize": lambda w, ds, out: [
+            "localize", "--db", str(w["db"]), "--dataset", str(ds),
+            "--config", str(w["config"]), "--out", str(out)],
+        "evaluate": lambda w, ds, out: [
+            "evaluate", "--results", str(w["results"]), "--dataset", str(ds), "--out", str(out)],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(MALFORMED_LAYOUTS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_3_naming_the_path(
+        self, workspace, two_scenes, tmp_path, capsys, command, layout
+    ):
+        ds = tmp_path / "ds"
+        shutil.copytree(two_scenes, ds)
+        edit, _ = MALFORMED_LAYOUTS[layout]
+        culprit = edit(ds, ds / "scene_0")
+        out = tmp_path / "out"
+        assert main(self.COMMANDS[command](workspace, ds, out)) == EXIT_DATA
+        assert str(culprit) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLocalizeAndEvaluate:
@@ -174,23 +238,23 @@ class TestLocalizeAndEvaluate:
 
 class TestTrainVocabK:
     @staticmethod
-    def run(dataset, tmp_path, k):
+    def run(dataset, config, tmp_path, k):
         return main(
-            ["train-vocab", "--dataset", str(dataset), "--k", str(k),
+            ["train-vocab", "--dataset", str(dataset), "--config", str(config), "--k", str(k),
              "--seed", "0", "--out", str(tmp_path / "vocab.bin")]
         )
 
-    # k < 1 is rejected before the dataset is read: the path does not exist.
+    # k < 1 is rejected before the config and the dataset are read: neither exists.
     def test_zero_k_is_usage_error(self, tmp_path, capsys):
-        assert self.run(tmp_path / "missing", tmp_path, 0) == EXIT_USAGE
+        assert self.run(tmp_path / "missing", tmp_path / "missing.cfg", tmp_path, 0) == EXIT_USAGE
         assert "--k must be at least 1" in capsys.readouterr().err
 
     def test_negative_k_is_usage_error(self, tmp_path, capsys):
-        assert self.run(tmp_path / "missing", tmp_path, -1) == EXIT_USAGE
+        assert self.run(tmp_path / "missing", tmp_path / "missing.cfg", tmp_path, -1) == EXIT_USAGE
         assert "--k must be at least 1" in capsys.readouterr().err
 
     def test_k_above_descriptor_count_is_data_error(self, workspace, tmp_path, capsys):
-        assert self.run(workspace["dataset"], tmp_path, 100000) == EXIT_DATA
+        assert self.run(workspace["dataset"], workspace["config"], tmp_path, 100000) == EXIT_DATA
         assert "need at least k=100000 descriptors" in capsys.readouterr().err
         assert not (tmp_path / "vocab.bin").exists()
 
@@ -501,12 +565,33 @@ class TestUsageErrors:
         assert f"{line.split()[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "db.bin").exists()
 
-    # Rejected before the dataset is read: the path does not exist.
+    # train-vocab reads its keypoint settings from the --config file build-db
+    # and localize read; a bad value there is rejected before the dataset is
+    # read: the path does not exist.
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bad_max_keypoints_flag_is_usage_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"max_keypoints = {value}\n")
         rc = main(
-            ["train-vocab", "--dataset", str(tmp_path / "missing"), "--k", "8",
-             "--seed", "0", "--out", str(tmp_path / "vocab.bin"), "--max-keypoints", value]
+            ["train-vocab", "--dataset", str(tmp_path / "missing"), "--config", str(bad),
+             "--k", "8", "--seed", "0", "--out", str(tmp_path / "vocab.bin")]
         )
         assert rc == EXIT_USAGE
         assert "max_keypoints must be at least 1" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_cli_block_parses_and_names_every_subcommand(self):
+        """Each `pointloc` line of README's CLI block parses with the real
+        parser, and the block shows every subcommand, so a flag change
+        cannot drift from the docs."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        parser = build_parser()
+        shown = set()
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["pointloc"]:
+                shown.add(parser.parse_args(words[1:]).command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert shown == set(sub.choices)

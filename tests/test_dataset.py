@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import camera_yaw, generate_scene_dataset
+from conftest import MALFORMED_LAYOUTS, camera_yaw, generate_scene_dataset
 
 from pointloc.dataset import (
     SCENE_POINT_ID_STRIDE,
@@ -290,6 +291,71 @@ class TestDatasetIO:
             write_pgm16(victim, np.zeros((8, 8), dtype=np.uint16))
         with pytest.raises(DatasetFormatError, match=f"frame {victim.with_suffix('')}: rasters"):
             list(iter_point_groups(tmp_path / "ds"))
+
+
+    def test_generate_refuses_a_non_empty_directory(self, tmp_path):
+        """Frames of an earlier dataset would stay and be read with the new
+        one, so generation needs a new or empty directory."""
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
+        before = sorted((tmp_path / "ds").rglob("*"))
+        with pytest.raises(ValueError, match=f"output directory {tmp_path / 'ds'} is not empty"):
+            generate_dataset_to_dir(5, replace(TINY, queries_per_point=1), tmp_path / "ds")
+        assert sorted((tmp_path / "ds").rglob("*")) == before
+        (tmp_path / "empty").mkdir()
+        generate_dataset_to_dir(5, TINY, tmp_path / "empty")
+
+
+@pytest.fixture(scope="module")
+def walk_datasets(tmp_path_factory):
+    """A generated 1-scene and 2-scene dataset, ds1 and ds2."""
+    root = tmp_path_factory.mktemp("walk")
+    for scenes in (1, 2):
+        generate_dataset_to_dir(5, replace(TINY, scenes=scenes), root / f"ds{scenes}")
+    return root
+
+
+class TestWalk:
+    """iter_point_groups and query_poses read a dataset through one walk, so
+    they see the same queries and reject the same malformed layouts."""
+
+    @pytest.mark.parametrize(
+        "scenes, layout",
+        [
+            pytest.param(scenes, name, id=f"{scenes}-scene-{name}")
+            for scenes in (1, 2)
+            for name, (_, fewest) in sorted(MALFORMED_LAYOUTS.items())
+            if scenes >= fewest
+        ],
+    )
+    def test_readers_agree_before_and_after_a_malformed_edit(
+        self, walk_datasets, tmp_path, scenes, layout
+    ):
+        root = tmp_path / "ds"
+        shutil.copytree(walk_datasets / f"ds{scenes}", root)
+        groups = list(iter_point_groups(root))
+        walked = {(q.point_id, q.frame_id) for g in groups for q in g.query_frames}
+        assert len({g.point_id // SCENE_POINT_ID_STRIDE for g in groups}) == scenes
+        assert walked and set(query_poses(root)) == walked
+
+        edit, _ = MALFORMED_LAYOUTS[layout]
+        culprit = edit(root, root if scenes == 1 else root / "scene_0")
+        errors = []
+        for read in (lambda d: list(iter_point_groups(d)), query_poses):
+            with pytest.raises(DatasetFormatError) as raised:
+                read(root)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert str(culprit) in errors[0]
+
+    def test_scene_directory_next_to_scene_file_is_rejected(self, walk_datasets, tmp_path):
+        """A root holding scene.txt is one scene; a scene_<i> beside it would
+        go unread."""
+        root = tmp_path / "ds"
+        shutil.copytree(walk_datasets / "ds1", root)
+        (root / "scene_0").mkdir()
+        for read in (lambda d: list(iter_point_groups(d)), query_poses):
+            with pytest.raises(DatasetFormatError, match=re.escape(str(root / "scene_0"))):
+                read(root)
 
 
 class TestManifest:
