@@ -18,9 +18,9 @@ maxval 65535, big-endian 16-bit); pose files hold one
 "tx ty tz qw qx qy qz" line.  A multi-scene dataset nests single-scene
 directories under scene_0/ to scene_<N-1>/, each with its scene.txt, with an
 aggregate manifest at the root; read together, the point ids of scene_<i>
-are offset by i * SCENE_POINT_ID_STRIDE.  Scene, point and frame ids are
-canonical decimal (digits, no leading zero), and every queries/<pid> has
-its points/<pid>.
+are offset by i * SCENE_POINT_ID_STRIDE, so they must be below it.  Scene,
+point and frame ids are canonical decimal (digits, no leading zero), and
+every queries/<pid> has its points/<pid>.
 """
 
 from __future__ import annotations
@@ -483,6 +483,10 @@ def _walk(root: str | Path) -> Iterator[tuple[int, Path, Path]]:
     for s, scene in enumerate(scenes):
         points, queries = scene / "points", scene / "queries"
         pids = _ids(points, "*")
+        if len(scenes) > 1 and pids and pids[-1] >= SCENE_POINT_ID_STRIDE:
+            raise DatasetFormatError(
+                f"{points / str(pids[-1])}: point ids of scene_<i> must be below {SCENE_POINT_ID_STRIDE}"
+            )
         stray = sorted(set(_ids(queries, "*")) - set(pids))
         if stray:
             raise DatasetFormatError(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from pointloc.dataset import (
+    SCENE_POINT_ID_STRIDE,
     GenerationParams,
     PointGroup,
     _scene_seed,
@@ -110,10 +111,20 @@ def _zero_padded_point_directory(root: Path, scene: Path) -> Path:
     return padded
 
 
+def _point_id_past_the_scene_stride(root: Path, scene: Path) -> Path:
+    """Read with the offset of scene_<i>, the id would be one of scene_<i+1>'s."""
+    first = min((scene / "points").iterdir(), key=lambda p: int(p.name)).name
+    for kind in ("queries", "points"):
+        if (scene / kind / first).exists():
+            (scene / kind / first).rename(scene / kind / str(SCENE_POINT_ID_STRIDE))
+    return scene / "points" / str(SCENE_POINT_ID_STRIDE)
+
+
 # name -> (edit, the fewest scenes it applies to)
 MALFORMED_LAYOUTS = {
     "query-dir-without-point": (_query_directory_without_point, 1),
     "scene-old": (_scene_directory_not_numbered, 1),
+    "point-id-past-stride": (_point_id_past_the_scene_stride, 2),
     "scene-gap": (_scene_numbers_with_a_gap, 2),
     "scene-without-scene-txt": (_scene_without_scene_file, 2),
     "zero-padded-point": (_zero_padded_point_directory, 1),

@@ -12,8 +12,10 @@ import pytest
 from conftest import MALFORMED_LAYOUTS
 
 from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, build_parser, main
-from pointloc.dataset import read_pgm16, read_ppm, write_pgm16, write_ppm
+from pointloc.dataset import iter_point_groups, read_pgm16, read_ppm, write_pgm16, write_ppm
 from pointloc.evaluation import parse_recall_csv
+from pointloc.pipeline import load_config, train_vocabulary_for_dataset
+from pointloc.retrieval import save_vocabulary
 
 CONFIG_TEXT = """\
 retrieval = vlad
@@ -84,7 +86,6 @@ class TestGenerate:
         assert (out / "manifest.txt").exists()
         assert (out / "scene_0" / "scene.txt").exists()
         assert (out / "scene_1" / "scene.txt").exists()
-
 
     def test_non_empty_output_directory_is_usage_error(self, tmp_path, capsys):
         """A second generate into the same directory would leave the first
@@ -257,6 +258,18 @@ class TestTrainVocabK:
         assert self.run(workspace["dataset"], workspace["config"], tmp_path, 100000) == EXIT_DATA
         assert "need at least k=100000 descriptors" in capsys.readouterr().err
         assert not (tmp_path / "vocab.bin").exists()
+
+    def test_keypoint_settings_come_from_the_config(self, workspace, tmp_path):
+        """train-vocab detects keypoints as build-db does, with the config's
+        max_keypoints and fast_threshold."""
+        config = tmp_path / "sparse.cfg"
+        config.write_text("max_keypoints = 50\nfast_threshold = 40\n")
+        assert self.run(workspace["dataset"], config, tmp_path, 8) == EXIT_OK
+        vocab = train_vocabulary_for_dataset(
+            iter_point_groups(workspace["dataset"]), k=8, seed=0, config=load_config(config)
+        )
+        save_vocabulary(vocab, tmp_path / "expected.bin")
+        assert (tmp_path / "vocab.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
 
 class TestCorruptDatabase:

@@ -292,7 +292,6 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match=f"frame {victim.with_suffix('')}: rasters"):
             list(iter_point_groups(tmp_path / "ds"))
 
-
     def test_generate_refuses_a_non_empty_directory(self, tmp_path):
         """Frames of an earlier dataset would stay and be read with the new
         one, so generation needs a new or empty directory."""
