@@ -9,6 +9,7 @@ SVD factorization (det +1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ DEGENERACY_RTOL = 1e-9
 # keeps the result determined.
 _CLIQUE_WORK = 1_000_000
 _CLIQUE_TIES_MATCHES = 12  # up to this many matches tied cliques are compared
+# RANSAC stops once an all-inlier triple would have been drawn with this
+# probability, at the best consensus so far (_ransac_bound).
+RANSAC_CONFIDENCE = 0.999
 
 
 class RegistrationError(Exception):
@@ -119,6 +123,14 @@ def _residuals(pose: Pose, q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(transform_points(pose, q) - d, axis=1)
 
 
+def _pairwise_gap(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|‖q_i - q_j‖ - ‖d_i - d_j‖| for every pair of matches, (n, n).  A rigid
+    motion leaving residuals r_i and r_j on matches i and j keeps it within
+    r_i + r_j (the triangle inequality): the consistency of TEASER++."""
+    dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
+    return np.abs(dq - dd)
+
+
 def _refit(q: np.ndarray, d: np.ndarray, pose: Pose, mask: np.ndarray, within):
     """The final refit of both robust solvers: umeyama on the inliers (mask) of
     pose, returned with the indices of its own inliers (residuals passing within)
@@ -160,6 +172,12 @@ def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 # Rounding-step cover of the triple-fit bounds (see _fit_triples).
 _ROUNDING_STEPS = 1024
 _C_U = _ROUNDING_STEPS * np.finfo(np.float64).eps / 2  # eps / 2 = u
+
+
+def _scale(q: np.ndarray, d: np.ndarray) -> float:
+    """L: the largest query plus the largest db point norm, which bounds the
+    size of every rounding step of a fit and its residuals by u L."""
+    return float(np.linalg.norm(q, axis=1).max() + np.linalg.norm(d, axis=1).max())
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,7 +256,7 @@ def _fit_triples(q: np.ndarray, d: np.ndarray, idx: np.ndarray):
     res -= d[:, :, None]
     res2 = np.einsum("nih,nih->nh", res, res)
 
-    scale = float(np.linalg.norm(q, axis=1).max() + np.linalg.norm(d, axis=1).max())
+    scale = _scale(q, d)
     dh = _C_U * scale * scale
     gap = s[1] - DEGENERACY_RTOL * np.maximum(s[0], 1e-300)
     fitted = gap > 2.0 * dh
@@ -256,6 +274,31 @@ _RANSAC_FIRST_CHUNK = 64
 _RANSAC_CHUNK_POINTS = 1 << 17
 
 
+def _ransac_bound(size: int, n: int) -> float:
+    """Fischler and Bolles' hypothesis count for a best consensus of size of n
+    matches: the least N with 1 - (1 - w^3)^N >= RANSAC_CONFIDENCE, w = size / n,
+    so that N draws hold an all-inlier triple with that probability.  Below 3
+    inliers there is no consensus, and the count is infinite."""
+    if size < 3:
+        return math.inf
+    if size >= n:
+        return 1
+    return math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-((size / n) ** 3)))
+
+
+def _has_consistent_triple(q: np.ndarray, d: np.ndarray, threshold: float) -> bool:
+    """Whether some three matches are pairwise consistent: |‖q_i - q_j‖ -
+    ‖d_i - d_j‖| within 2 threshold plus a rounding allowance of _C_U L
+    (_pairwise_gap).  Every pose with 3 inliers (residual < threshold) makes
+    its inliers such a triangle, so without one RANSAC is sure to fail.  The
+    computed residuals and distances, and the length a rotation formed from a
+    unit quaternion keeps, each err by a few u L, well within _C_U L."""
+    adj = _pairwise_gap(q, d) <= 2.0 * threshold + _C_U * _scale(q, d)
+    np.fill_diagonal(adj, False)
+    a = adj.astype(np.float32)  # path counts up to n, exact in float32
+    return bool(((a @ a) * a).any())
+
+
 def ransac_register(
     p_query: np.ndarray,
     p_db: np.ndarray,
@@ -264,16 +307,25 @@ def ransac_register(
     seed: int = 0,
 ) -> RegistrationResult:
     """3-point hypotheses from a seeded stream, consensus by residual < threshold,
-    early exit at 90% consensus, final refit on the best consensus set.
+    final refit on the best consensus set.
 
-    Hypotheses are fitted chunk by chunk by _fit_triples; umeyama fits again
-    those with a residual within dr of the threshold and undecided ones.  The
-    refit and its inliers are kept if it is not degenerate and keeps at least
-    3, else the best hypothesis and its inliers are (_refit)."""
+    Fails at once, drawing nothing, when no three matches are pairwise
+    consistent (_has_consistent_triple).  Stops after hypothesis k (1-based)
+    at 90% consensus, or once k reaches the confidence bound of the best
+    consensus so far (_ransac_bound), or at max_iters; the earliest of the
+    largest consensus sets wins.  Hypotheses are fitted chunk by chunk by
+    _fit_triples; umeyama fits again those with a residual within dr of the
+    threshold and undecided ones.  The refit and its inliers are kept if it is
+    not degenerate and keeps at least 3, else the best hypothesis and its
+    inliers are (_refit)."""
     q, d = _point_pairs(p_query, p_db)
     n = len(q)
     if inlier_threshold <= 0:
         raise ValueError("inlier_threshold must be positive")
+    if not _has_consistent_triple(q, d, inlier_threshold):
+        raise RegistrationFailedError(
+            "no three matches are pairwise consistent within twice the inlier threshold"
+        )
     rng = np.random.default_rng(seed)
 
     best_size = 0
@@ -295,7 +347,12 @@ def ransac_register(
                 continue
             sizes[h] = (_residuals(hyp, q, d) < inlier_threshold).sum()
         running = np.maximum(np.maximum.accumulate(sizes), best_size)
-        done = np.flatnonzero((running >= 3) & (running / n >= 0.9))  # early exit at 90%
+        values, at = np.unique(running, return_inverse=True)
+        bound = np.array([_ransac_bound(int(s), n) for s in values])[at]
+        done = np.flatnonzero(
+            ((running >= 3) & (running / n >= 0.9))  # early exit at 90%
+            | (iterations + np.arange(1, count + 1) >= bound)
+        )
         seen = done[0] + 1 if len(done) else count
         iterations += int(seen)
         top = int(np.argmax(sizes[:seen]))  # the first largest: ties keep the earliest
@@ -477,8 +534,7 @@ def gnc_tls_register(
             return np.inf, clique, None
         return truncated_cost(_residuals(pose, q, d) ** 2), clique, pose
 
-    dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
-    cliques = _max_cliques(np.abs(dq - dd) <= 2.0 * noise_bound, len(q) <= _CLIQUE_TIES_MATCHES)
+    cliques = _max_cliques(_pairwise_gap(q, d) <= 2.0 * noise_bound, len(q) <= _CLIQUE_TIES_MATCHES)
     if len(cliques[0]) < 3:
         raise RegistrationFailedError(f"the largest consistent clique has {len(cliques[0])} points")
     clique, pose = cliques[0], None

@@ -139,9 +139,14 @@ def max_cliques_brute(adj: np.ndarray) -> list[tuple[int, ...]]:
     return [()]
 
 
-def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):
+def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0, rules=True):
     """ransac_register by the original per-hypothesis loop: one
-    rng.choice draw, one umeyama fit and one residual pass per hypothesis."""
+    rng.choice draw, one umeyama fit and one residual pass per hypothesis.
+
+    With rules, it first fails when no three matches are pairwise consistent,
+    found by scalar loops, and stops once the hypothesis count reaches
+    _ransac_bound of the best consensus; without them it runs to max_iters
+    (or the 90% exit), as the loop did before either rule."""
     from pointloc import registration as reg
 
     q = reg._as_points(p_query, "p_query")
@@ -153,6 +158,17 @@ def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):
         raise reg.InsufficientPointsError(f"need at least 3 correspondences, got {n}")
     if inlier_threshold <= 0:
         raise ValueError("inlier_threshold must be positive")
+    if rules:
+        scale = max(math.hypot(*p) for p in q) + max(math.hypot(*p) for p in d)
+        limit = 2.0 * inlier_threshold + reg._C_U * scale
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in itertools.combinations(range(n), 2):
+            gap = abs(math.dist(q[i], q[j]) - math.dist(d[i], d[j]))
+            adj[i, j] = adj[j, i] = gap <= limit
+        if not any(adj[i, j] and (adj[i] & adj[j]).any() for i, j in zip(*np.nonzero(adj))):
+            raise reg.RegistrationFailedError(
+                "no three matches are pairwise consistent within twice the inlier threshold"
+            )
     rng = np.random.default_rng(seed)
 
     best_size = 0
@@ -165,12 +181,15 @@ def ransac_scalar(p_query, p_db, inlier_threshold=0.05, max_iters=1000, seed=0):
         try:
             hyp = reg.umeyama(q[idx], d[idx])
         except reg.DegenerateConfigurationError:
-            continue
-        mask = reg._residuals(hyp, q, d) < inlier_threshold
-        size = int(mask.sum())
-        if size > best_size:  # strictly greater keeps the earliest hypothesis on ties
-            best_size, best_mask, best_pose = size, mask, hyp
+            hyp = None
+        if hyp is not None:
+            mask = reg._residuals(hyp, q, d) < inlier_threshold
+            size = int(mask.sum())
+            if size > best_size:  # strictly greater keeps the earliest hypothesis on ties
+                best_size, best_mask, best_pose = size, mask, hyp
         if best_size >= 3 and best_size / n >= 0.9:
+            break
+        if rules and iterations >= reg._ransac_bound(best_size, n):
             break
 
     if best_pose is None or best_size < 3:

@@ -449,7 +449,7 @@ class TestEquivalenceOracle:
         "db_vlad": "287d5eafa435f750a531d36525fed710d425091b24812ddfceef6702e6f8924e",
         "db_bow": "db2afc27d90a083125884acbaae3ffe875da1f0effa90c28022a03b5ec75fa2d",
         "results_vlad": "cd0162c6a9c5880258afe3a0ce63934fcfd604e3382643efa1dcacff22e7cd17",
-        "results_bow": "dab3c794ba39fe900a40d7015f0fa500592eeafd5d019bff655876bd14d4ee3b",
+        "results_bow": "2e0365ff0039cebf4a6c89c030fa2380361a29a83933eef0fe2dfbf484f203cb",
     }
 
     def test_artefacts_match_recorded_digests(self, tmp_path):

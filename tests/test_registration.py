@@ -215,6 +215,11 @@ class TestRansac:
         assert np.array_equal(a.inlier_indices, b.inlier_indices)
         assert a.iterations == b.iterations
 
+    def test_confidence_bound(self):
+        assert registration._ransac_bound(80, 100) == 10
+        assert registration._ransac_bound(3, 100) > 1000  # runs to the cap
+        assert registration._ransac_bound(2, 100) == float("inf")
+
     def test_early_exit_on_clean_data(self, rng):
         gt = random_pose(rng)
         q = make_cloud(rng, 50)
@@ -242,41 +247,65 @@ def outcome(solve, *args, **kwargs):
         return e
 
 
+def ransac_case(n, outliers, kind, seed):
+    """A seeded correspondence set of one kind (plain, noisy, repeated,
+    collinear, at_threshold, within_threshold, or one of shaped's) and its
+    inlier threshold."""
+    rng = np.random.default_rng(seed)
+    gt, q, d, out_idx = corrupted_correspondences(
+        rng, n, outliers, noise=0.01 if kind == "noisy" else 0.0
+    )
+    if kind == "repeated" and n > 3:  # repeated points make degenerate triples
+        rep = rng.choice(n, size=max(2, n // 3), replace=False)
+        q[rep], d[rep] = q[rep[0]], d[rep[0]]
+    if kind == "collinear":
+        q = np.outer(rng.uniform(-3.0, 3.0, n), rng.normal(size=3)) + rng.normal(size=3)
+    if kind == "at_threshold":  # residuals of the true pose exactly at the threshold
+        moved = rng.choice(n, size=(n + 1) // 2, replace=False)
+        step = rng.normal(size=(len(moved), 3))
+        d[moved] = d[moved] + 0.05 * step / np.linalg.norm(step, axis=1)[:, None]
+    if kind == "within_threshold":  # residuals of the true pose just below the threshold
+        step = rng.normal(size=(n, 3))
+        d = d + rng.uniform(0.045, 0.05, (n, 1)) * step / np.linalg.norm(step, axis=1)[:, None]
+    q, d = shaped(rng, kind, gt, q, d, out_idx)
+    return q, d, 5e-5 if kind == "tiny" else 0.05
+
+
+RANSAC_CASES = dict(
+    n=st.integers(3, 90),
+    outliers=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]),
+    kind=st.sampled_from(
+        ["plain", "noisy", "repeated", "collinear", "at_threshold", "within_threshold"]
+        + ["thin", "mirrored", "far", "tiny"]
+    ),
+    max_iters=st.sampled_from([1, 2, 63, 64, 65, 193, 300, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestRansacEquivalence:
     """ransac_register against the per-hypothesis loop it replaces."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(3, 90),
-        outliers=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]),
-        kind=st.sampled_from(
-            ["plain", "noisy", "repeated", "collinear", "at_threshold"]
-            + ["thin", "mirrored", "far", "tiny"]
-        ),
-        max_iters=st.sampled_from([1, 2, 63, 64, 65, 193, 300, 1000]),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**RANSAC_CASES)
     def test_matches_per_hypothesis_loop(self, n, outliers, kind, max_iters, seed):
-        rng = np.random.default_rng(seed)
-        gt, q, d, out_idx = corrupted_correspondences(
-            rng, n, outliers, noise=0.01 if kind == "noisy" else 0.0
-        )
-        if kind == "repeated" and n > 3:  # repeated points make degenerate triples
-            rep = rng.choice(n, size=max(2, n // 3), replace=False)
-            q[rep], d[rep] = q[rep[0]], d[rep[0]]
-        if kind == "collinear":
-            q = np.outer(rng.uniform(-3.0, 3.0, n), rng.normal(size=3)) + rng.normal(size=3)
-        if kind == "at_threshold":  # residuals of the true pose exactly at the threshold
-            moved = rng.choice(n, size=(n + 1) // 2, replace=False)
-            step = rng.normal(size=(len(moved), 3))
-            d[moved] = d[moved] + 0.05 * step / np.linalg.norm(step, axis=1)[:, None]
-        q, d = shaped(rng, kind, gt, q, d, out_idx)
-        threshold = 5e-5 if kind == "tiny" else 0.05
+        q, d, threshold = ransac_case(n, outliers, kind, seed)
         got = outcome(ransac_register, q, d, threshold, max_iters, seed)
         want = outcome(ransac_scalar, q, d, threshold, max_iters, seed)
         assert_same_result(got, want)
         if kind == "collinear":
             assert isinstance(got, RegistrationFailedError)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**RANSAC_CASES)
+    def test_stop_rules_never_lose_a_registration(self, n, outliers, kind, max_iters, seed):
+        """The triangle check and the confidence bound only skip hypotheses:
+        ransac_register fails exactly when the loop without either rule,
+        running to max_iters, fails."""
+        q, d, threshold = ransac_case(n, outliers, kind, seed)
+        got = outcome(ransac_register, q, d, threshold, max_iters, seed)
+        capped = outcome(ransac_scalar, q, d, threshold, max_iters, seed, rules=False)
+        assert isinstance(got, Exception) == isinstance(capped, Exception), (got, capped)
 
     def test_exit_at_first_iteration(self, rng):
         gt = random_pose(rng)
@@ -339,34 +368,40 @@ class TestRansacEquivalence:
             assert str(got) == f"no hypothesis reached 3 inliers in {max_iters} iterations"
 
     def test_tie_across_chunks_keeps_the_earlier(self):
-        """Seven points on a line and two off it, a and b, each matched under
-        its own rotation about the line.  A triple of two line points and a
-        fits the line and a (8 of 9 matches, short of the 90% exit), one with
-        b fits the line and b: a tie, won by the first.  The seed is the first
-        whose first tying triple holds a, while the first one of the second
-        chunk holds b, so the result fits a."""
+        """Seven points on a line, two off it, a and b, each matched under its
+        own rotation about the line, and 21 outliers.  A triple of two line
+        points and a fits the line and a (8 of 30 matches, whose confidence
+        bound is 361 hypotheses), one with b fits the line and b: a tie, won
+        by the first.  The seed is the first whose first tying triple holds
+        a, while the first one of the second chunk, before the bound, holds
+        b, so the result fits a and RANSAC stops at the bound."""
+        n, bound = 30, registration._ransac_bound(8, 30)
+        assert bound == 361
         line = np.outer(np.linspace(-3.0, 3.0, 7), [0.0, 0.0, 1.0])
         gt = Pose(from_axis_angle([0.3, -0.5, 0.8], 0.7), np.array([0.4, -1.2, 2.0]))
         turn_a = Pose(from_axis_angle([0.0, 0.0, 1.0], 0.5), np.zeros(3))
         turn_b = Pose(from_axis_angle([0.0, 0.0, 1.0], -0.9), np.zeros(3))
         for seed in range(200):
-            triples = registration._draw_triples(np.random.default_rng(seed), 9, 192)
-            one_off = [t for t in triples[:64] if (t >= 7).sum() == 1]
-            one_off_next = [t for t in triples[64:] if (t >= 7).sum() == 1]
-            if one_off and one_off_next and 7 in one_off[0] and 8 in one_off_next[0]:
+            triples = registration._draw_triples(np.random.default_rng(seed), n, bound)
+            tying = (triples < 7).sum(axis=1) == 2
+            tying &= ((triples == 7) | (triples == 8)).sum(axis=1) == 1
+            first, first_next = triples[:64][tying[:64]], triples[64:][tying[64:]]
+            if len(first) and len(first_next) and 7 in first[0] and 8 in first_next[0]:
                 break
         else:
             pytest.fail("no seed below 200 ties across the chunks")
-        q = np.vstack([line, [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]]])
+        outliers = np.random.default_rng(23).uniform(-5.0, 5.0, size=(2, n - 9, 3))
+        q = np.vstack([line, [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]], outliers[0]])
         d = np.vstack([
             transform_points(gt, line),
             transform_points(gt, transform_points(turn_a, q[7:8])),
             transform_points(gt, transform_points(turn_b, q[8:9])),
+            outliers[1],
         ])
         got = ransac_register(q, d, 0.05, 1000, seed)
         assert_same_result(got, ransac_scalar(q, d, 0.05, 1000, seed))
         assert got.inlier_indices.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
-        assert got.iterations == 1000
+        assert got.iterations == bound
 
 
 class TestSolverDigests:
@@ -377,9 +412,9 @@ class TestSolverDigests:
     digest."""
 
     DIGESTS = {
-        "ransac": "181fd28c53a30ce0540cabd490529954138b2dad4c386995ae108b031f29bf6b",
+        "ransac": "4c33a484441580f135ec59a561a08397315d637153bc6b475421e910b1b29c13",
         "gnc": "82348dfe796ff522d1128cc2cde15959ffef1d5653709c75112ed3f878d2e6c6",
-        "icp": "57250573f0b390f8cabe110034bdc6c441fc41667d35313080eec99bbee5be98",
+        "icp": "dd59d5bbe48225a01473ab6ae717399a8011428c66a8620ba31821db18b87651",
     }
 
     @staticmethod
