@@ -26,6 +26,7 @@ every queries/<pid> has its points/<pid>.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, get_type_hints
@@ -83,9 +84,11 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class PointGroup:
+    """The frames of one Point: tuples when generated, FrameFiles when read."""
+
     point_id: int
-    database_frames: tuple[Frame, ...]
-    query_frames: tuple[Frame, ...]
+    database_frames: Sequence[Frame]
+    query_frames: Sequence[Frame]
 
     def frames(self) -> Iterator[Frame]:
         yield from self.database_frames
@@ -323,18 +326,46 @@ def _read_pose(path: Path) -> Pose:
 
 
 def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool) -> Frame:
+    """One frame from its files.  The .inst raster is checked like the others
+    but not kept: no reader of a dataset uses instances, so the frame carries
+    None for them."""
     stem = _frame_stem(directory, frame_id, is_database)
     pose = _read_pose(stem.with_suffix(".pose"))
     rgb = read_ppm(stem.with_suffix(".rgb"))
     depth = read_pgm16(stem.with_suffix(".depth")).astype(np.uint16)
-    inst = read_pgm16(stem.with_suffix(".inst")).astype(np.uint16)
+    inst = read_pgm16(stem.with_suffix(".inst"))
     if not rgb.shape[:2] == depth.shape == inst.shape:
         sizes = ", ".join(
             f"{suffix} {a.shape[1]}x{a.shape[0]}"
             for suffix, a in ((".rgb", rgb), (".depth", depth), (".inst", inst))
         )
         raise DatasetFormatError(f"frame {stem}: rasters disagree in size ({sizes})")
-    return Frame(rgb, depth, inst, pose, point_id, frame_id, is_database)
+    return Frame(rgb, depth, None, pose, point_id, frame_id, is_database)
+
+
+@dataclass(frozen=True)
+class FrameFiles(Sequence[Frame]):
+    """The frames of one directory of a dataset, read with read_frame each
+    time one is indexed or iterated, never held: a caller streaming them
+    holds one frame at a time."""
+
+    directory: Path
+    point_id: int
+    frame_ids: tuple[int, ...]
+    is_database: bool
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, frame_ids=self.frame_ids[i])
+        return read_frame(self.directory, self.point_id, self.frame_ids[i], self.is_database)
+
+    def __iter__(self) -> Iterator[Frame]:
+        # not Sequence's default, which would end early on an IndexError a read raised
+        for k in self.frame_ids:
+            yield read_frame(self.directory, self.point_id, k, self.is_database)
 
 
 # --- manifest ----------------------------------------------------------------
@@ -497,13 +528,16 @@ def _walk(root: str | Path) -> Iterator[tuple[int, Path, Path]]:
 
 
 def iter_point_groups(root: str | Path) -> Iterator[PointGroup]:
-    """Stream the point groups of every scene of a dataset, in scene order."""
+    """Stream the point groups of every scene of a dataset, in scene order.
+    The walk and the frame ids are checked here; a frame's files are read
+    only when its group's FrameFiles hand it out, so a caller that uses only
+    database frames or only queries never opens the others."""
     for pid, db_dir, q_dir in _walk(root):
-        db = [read_frame(db_dir, pid, k, True) for k in _ids(db_dir, "db_*.pose")]
-        queries = [read_frame(q_dir, pid, k, False) for k in _ids(q_dir, "q_*.pose")]
+        db = FrameFiles(db_dir, pid, tuple(_ids(db_dir, "db_*.pose")), True)
+        queries = FrameFiles(q_dir, pid, tuple(_ids(q_dir, "q_*.pose")), False)
         if not db:
             raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
-        yield PointGroup(pid, tuple(db), tuple(queries))
+        yield PointGroup(pid, db, queries)
 
 
 def query_poses(root: str | Path) -> dict[tuple[int, int], Pose]:

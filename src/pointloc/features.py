@@ -201,16 +201,13 @@ def _rotated_patterns() -> np.ndarray:
 
 
 def _box_sum_5x5(gray: np.ndarray) -> np.ndarray:
-    """Exact integer 5x5 box sums via an integral image (zeros outside).
-
-    The int32 running sums may wrap modulo 2**32 on huge rasters; every box
-    sum is below 2**31, so the four-corner difference is still exact.
-    """
+    """Exact integer 5x5 box sums (zeros outside): five row slices summed,
+    then five column slices of that.  A sum is at most 25 * 255 = 6375, so
+    int16 holds every one exactly at any raster size."""
     h, w = gray.shape
-    integral = np.zeros((h + 5, w + 5), dtype=np.int32)
-    padded = np.pad(gray, 2).astype(np.int32)
-    np.cumsum(np.cumsum(padded, axis=0, dtype=np.int32), axis=1, dtype=np.int32, out=integral[1:, 1:])
-    return integral[5:, 5:] - integral[:-5, 5:] - integral[5:, :-5] + integral[:-5, :-5]
+    padded = np.pad(gray, 2).astype(np.int16)
+    rows = sum(padded[i : i + h] for i in range(5))
+    return sum(rows[:, j : j + w] for j in range(5))
 
 
 def describe(gray: np.ndarray, keypoints: Keypoints) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,7 @@ def _pairwise_gap(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """|‖q_i - q_j‖ - ‖d_i - d_j‖| for every pair of matches, (n, n).  A rigid
     motion leaving residuals r_i and r_j on matches i and j keeps it within
     r_i + r_j (the triangle inequality): the consistency of TEASER++."""
-    dq, dd = (np.linalg.norm(p[:, None] - p[None], axis=2) for p in (q, d))
+    dq, dd = (np.sqrt(sum((c[:, None] - c) ** 2 for c in p.T)) for p in (q, d))
     return np.abs(dq - dd)
 
 

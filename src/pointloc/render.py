@@ -44,24 +44,28 @@ class Frame:
 
     depth is a uint16 raster of z-depth levels: level n is n / DEPTH_LEVELS
     of DEPTH_MAX (10 m), and DEPTH_LEVELS means >= 10 m or no hit.  instances
-    holds box instance ids, 0 for background.  pose is camera-to-world.
+    holds box instance ids, 0 for background; rendering fills it, and frames
+    read from disk carry None, since localization never uses it.  pose is
+    camera-to-world.
     """
 
     rgb: np.ndarray
     depth: np.ndarray
-    instances: np.ndarray
+    instances: np.ndarray | None
     pose: Pose
     point_id: int
     frame_id: int
     is_database: bool
 
     def __post_init__(self) -> None:
-        for name in ("rgb", "depth", "instances"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        for arr in (self.rgb, self.depth, self.instances):
+            if arr is not None:
+                arr.setflags(write=False)
         if self.depth.dtype != np.uint16:
             raise ValueError(f"depth must be a uint16 raster of levels, not {self.depth.dtype}")
-        if self.rgb.shape[:2] != self.depth.shape or self.depth.shape != self.instances.shape:
+        if self.rgb.shape[:2] != self.depth.shape or (
+            self.instances is not None and self.instances.shape != self.depth.shape
+        ):
             raise ValueError("rasters must share dimensions")
 
 

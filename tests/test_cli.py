@@ -4,6 +4,7 @@ import argparse
 import shlex
 import shutil
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,55 @@ class TestLocalizeAndEvaluate:
             f"results file {changed} holds {len(edited)} lines for the {len(lines)} queries of "
             f"{workspace['dataset']}: query point={point} frame={frame} is {problem}"
         ) in capsys.readouterr().err
+
+
+class TestFramesRead:
+    """Each command reads only the frames it uses, each of them once."""
+
+    @staticmethod
+    def frames_on_disk(ds, is_database):
+        kind, prefix = ("points", "db") if is_database else ("queries", "q")
+        return Counter(
+            (int(pose.parent.name), int(pose.stem[len(prefix) + 1 :]), is_database)
+            for pose in (ds / kind).glob(f"*/{prefix}_*.pose")
+        )
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from pointloc import dataset
+
+        counted = Counter()
+        read_frame = dataset.read_frame
+
+        def counting(directory, point_id, frame_id, is_database):
+            counted[(point_id, frame_id, is_database)] += 1
+            return read_frame(directory, point_id, frame_id, is_database)
+
+        monkeypatch.setattr(dataset, "read_frame", counting)
+        return counted
+
+    def test_train_vocab_and_build_db_read_only_database_frames(self, workspace, tmp_path, reads):
+        ds, config = str(workspace["dataset"]), str(workspace["config"])
+        database = self.frames_on_disk(workspace["dataset"], True)
+        vocab = tmp_path / "vocab.bin"
+        assert main(
+            ["train-vocab", "--dataset", ds, "--config", config, "--k", "32", "--seed", "0",
+             "--out", str(vocab)]
+        ) == EXIT_OK
+        assert reads == database
+        reads.clear()
+        assert main(
+            ["build-db", "--dataset", ds, "--vocab", str(vocab), "--config", config,
+             "--out", str(tmp_path / "db.bin")]
+        ) == EXIT_OK
+        assert reads == database
+
+    def test_localize_reads_only_query_frames(self, workspace, tmp_path, reads):
+        assert main(
+            ["localize", "--db", str(workspace["db"]), "--dataset", str(workspace["dataset"]),
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "r.csv")]
+        ) == EXIT_OK
+        assert reads == self.frames_on_disk(workspace["dataset"], False)
 
 
 class TestTrainVocabK:

@@ -218,7 +218,10 @@ class TestDatasetIO:
             assert np.array_equal(orig.rgb, got.rgb)
             assert orig.depth.dtype == got.depth.dtype == np.uint16
             assert np.array_equal(orig.depth, got.depth)
-            assert np.array_equal(orig.instances, got.instances)
+            kind, prefix = ("points", "db") if got.is_database else ("queries", "q")
+            inst = tmp_path / "ds" / kind / str(got.point_id) / f"{prefix}_{got.frame_id}.inst"
+            assert np.array_equal(orig.instances, read_pgm16(inst))
+            assert got.instances is None
             assert orig.pose == got.pose
             assert (orig.point_id, orig.frame_id, orig.is_database) == (
                 got.point_id,
@@ -290,7 +293,19 @@ class TestDatasetIO:
         else:
             write_pgm16(victim, np.zeros((8, 8), dtype=np.uint16))
         with pytest.raises(DatasetFormatError, match=f"frame {victim.with_suffix('')}: rasters"):
-            list(iter_point_groups(tmp_path / "ds"))
+            [f for g in iter_point_groups(tmp_path / "ds") for f in g.frames()]
+
+    def test_groups_read_frames_when_used_and_keep_no_instances(self, tmp_path):
+        """Listing groups opens no raster; reading a frame checks its .inst
+        file as before but keeps no instance raster."""
+        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
+        victim = next((tmp_path / "ds" / "queries").rglob("q_*.inst"))
+        victim.write_bytes(victim.read_bytes()[:100])
+        groups = list(iter_point_groups(tmp_path / "ds"))
+        assert all(f.instances is None for g in groups for f in g.database_frames)
+        assert [f.frame_id for f in groups[0].database_frames[1:3]] == [1, 2]
+        with pytest.raises(DatasetFormatError, match=re.escape(str(victim))):
+            [f for g in groups for f in g.query_frames]
 
     def test_generate_refuses_a_non_empty_directory(self, tmp_path):
         """Frames of an earlier dataset would stay and be read with the new
