@@ -163,12 +163,8 @@ def cmd_build_db(args) -> int:
 
     config = load_config(args.config)
     vocab = load_vocabulary(args.vocab)
-    db = build_database(
-        iter_point_groups(args.dataset),
-        vocab,
-        config,
-        load_manifest(args.dataset).params.intrinsics(),
-    )
+    intrinsics = load_manifest(args.dataset).params.intrinsics()
+    db = build_database(iter_point_groups(args.dataset), vocab, config, intrinsics)
     save_database(db, args.out)
     print(f"database of {len(db.frames)} frames written to {args.out}")
     return EXIT_OK

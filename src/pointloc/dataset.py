@@ -177,10 +177,17 @@ def generate_dataset_to_dir(
 
     One scene is written into `directory` itself; params.scenes > 1 scenes
     go to scene_<i>/ under it, next to an aggregate manifest.  The directory
-    must be new or empty, so no frame of an earlier dataset stays behind.
-    Keeps at most one point group in memory, so full-size datasets (about
-    1 GB of rasters) generate in bounded space.
+    must be new or empty, so no frame of an earlier dataset stays behind,
+    and settings that make no dataset raise ValueError before anything is
+    written.  Keeps at most one point group in memory, so full-size
+    datasets (about 1 GB of rasters) generate in bounded space.
     """
+    if not params.grid_spacing > 0:
+        raise ValueError(f"grid_spacing must be positive, not {params.grid_spacing}")
+    for key in ("queries_per_point", "query_radius", "noise_factor"):
+        if not getattr(params, key) >= 0:
+            raise ValueError(f"{key} must not be negative, not {getattr(params, key)}")
+    params.intrinsics()  # no camera, no dataset
     directory = Path(directory)
     if directory.exists() and any(directory.iterdir()):
         raise ValueError(f"output directory {directory} is not empty")
@@ -209,22 +216,19 @@ def _generate_scene_to_dir(
     seed: int, params: GenerationParams, directory: Path, scene_index: int
 ) -> tuple[DatasetManifest, set[int]]:
     """Write one scene; returns its manifest and the category ids its frames see."""
-    directory.mkdir(parents=True, exist_ok=True)
     scene = generate_scene(_scene_seed(seed, scene_index), params.scene)
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / "scene.txt").write_text(scene_to_text(scene), encoding="ascii")
 
     points = poses = 0
     seen_instances: set[int] = set()
     for point in generate_point_grid(scene, params.grid_spacing, params.camera_height):
         group = generate_point_frames(scene, point, params, seed, scene_index)
-        for f in group.database_frames:
-            write_frame(f, directory / "points" / str(group.point_id))
-        for f in group.query_frames:
-            write_frame(f, directory / "queries" / str(group.point_id))
         points += 1
-        poses += len(group.database_frames) + len(group.query_frames)
         for f in group.frames():
+            write_frame(f, directory / ("points" if f.is_database else "queries") / str(f.point_id))
             seen_instances.update(int(v) for v in np.unique(f.instances) if v != 0)
+            poses += 1
 
     categories = {scene.category_of(i) for i in seen_instances} - {None}
     manifest = DatasetManifest(
@@ -496,10 +500,12 @@ def _ids(directory: Path, pattern: str) -> list[int]:
     return sorted(ids)
 
 
-def _walk(root: str | Path) -> Iterator[tuple[int, Path, Path]]:
-    """(point id, database directory, query directory) of every Point of a
-    dataset, in scene order and then point order, by the layout rules of
-    this module's docstring."""
+def _walk(root: str | Path) -> list[tuple[FrameFiles, FrameFiles]]:
+    """The database and query frames of every Point of a dataset, in scene
+    order and then point order, by the layout rules of this module's
+    docstring.  Where root holds manifest.txt, its scene lines must count
+    the points and poses listed here.  All is listed and checked before
+    anything is returned, and no frame file is opened."""
     root = Path(root)
     indices = _ids(root, "scene_*")
     if indices != list(range(len(indices))) or indices and (root / "scene.txt").exists():
@@ -508,10 +514,10 @@ def _walk(root: str | Path) -> Iterator[tuple[int, Path, Path]]:
             f"or scene_0 to scene_<N-1>, here N = {len(indices)}"
         )
     scenes = [root / f"scene_{i}" for i in indices] or [root]
-    for scene in scenes:
+    listed: list[list[tuple[FrameFiles, FrameFiles]]] = []
+    for s, scene in enumerate(scenes):
         if not (scene / "scene.txt").exists():
             raise DatasetFormatError(f"missing scene file {scene / 'scene.txt'}")
-    for s, scene in enumerate(scenes):
         points, queries = scene / "points", scene / "queries"
         pids = _ids(points, "*")
         if len(scenes) > 1 and pids and pids[-1] >= SCENE_POINT_ID_STRIDE:
@@ -523,41 +529,43 @@ def _walk(root: str | Path) -> Iterator[tuple[int, Path, Path]]:
             raise DatasetFormatError(
                 f"{queries / str(stray[0])}: queries of no Point, {points / str(stray[0])} is missing"
             )
+        listed.append([])
         for pid in pids:
-            yield pid + s * SCENE_POINT_ID_STRIDE, points / str(pid), queries / str(pid)
+            point_id = pid + s * SCENE_POINT_ID_STRIDE
+            db_dir, q_dir = points / str(pid), queries / str(pid)
+            db = FrameFiles(db_dir, point_id, tuple(_ids(db_dir, "db_*.pose")), True)
+            if not db:
+                raise DatasetFormatError(f"point {point_id} has no database frames in {db_dir}")
+            q = FrameFiles(q_dir, point_id, tuple(_ids(q_dir, "q_*.pose")), False)
+            listed[-1].append((db, q))
+    path = root / "manifest.txt"
+    if path.exists():
+        lines = load_manifest(root).scenes
+        if len(lines) != len(scenes):
+            raise DatasetFormatError(f"{path}: {len(lines)} scene lines for {len(scenes)} scenes")
+        for line, scene, frames in zip(lines, scenes, listed):
+            found = (len(frames), sum(len(db) + len(q) for db, q in frames))
+            if (line.points, line.poses) != found:
+                raise DatasetFormatError(
+                    f"{path}: {line.name} lists {line.points} points and {line.poses} poses, "
+                    f"{scene} holds {found[0]} and {found[1]}"
+                )
+    return [point for frames in listed for point in frames]
 
 
 def iter_point_groups(root: str | Path) -> Iterator[PointGroup]:
-    """Stream the point groups of every scene of a dataset, in scene order.
-    The walk and the frame ids are checked here; a frame's files are read
-    only when its group's FrameFiles hand it out, so a caller that uses only
-    database frames or only queries never opens the others."""
-    for pid, db_dir, q_dir in _walk(root):
-        db = FrameFiles(db_dir, pid, tuple(_ids(db_dir, "db_*.pose")), True)
-        queries = FrameFiles(q_dir, pid, tuple(_ids(q_dir, "q_*.pose")), False)
-        if not db:
-            raise DatasetFormatError(f"point {pid} has no database frames in {db_dir}")
-        yield PointGroup(pid, db, queries)
+    """The point groups of every scene of a dataset, in scene order, once
+    the walk has checked it.  A frame's files are read only when its group's
+    FrameFiles hand it out, so a caller that uses only database frames or
+    only queries never opens the others."""
+    return (PointGroup(db.point_id, db, queries) for db, queries in _walk(root))
 
 
 def query_poses(root: str | Path) -> dict[tuple[int, int], Pose]:
     """(point id, frame id) -> ground-truth pose of every query of a dataset,
     keyed by the point ids iter_point_groups gives."""
     return {
-        (pid, k): _read_pose(_frame_stem(q_dir, k, False).with_suffix(".pose"))
-        for pid, _, q_dir in _walk(root)
-        for k in _ids(q_dir, "q_*.pose")
+        (q.point_id, k): _read_pose(_frame_stem(q.directory, k, False).with_suffix(".pose"))
+        for _, q in _walk(root)
+        for k in q.frame_ids
     }
-
-
-def load_dataset(directory: str | Path) -> tuple[list[PointGroup], DatasetManifest]:
-    """Load a dataset fully into memory and validate its pose count."""
-    directory = Path(directory)
-    manifest = load_manifest(directory)
-    groups = list(iter_point_groups(directory))
-    poses = sum(len(g.database_frames) + len(g.query_frames) for g in groups)
-    if poses != manifest.poses:
-        raise DatasetFormatError(
-            f"{directory / 'manifest.txt'}: manifest lists {manifest.poses} poses, found {poses}"
-        )
-    return groups, manifest

@@ -631,9 +631,5 @@ def train_vocabulary_for_dataset(
     """Vocabulary over the descriptors of all database frames (queries unseen)."""
     from pointloc.retrieval import train_vocabulary
 
-    per_frame = []
-    for g in groups:
-        for f in g.database_frames:
-            _, desc = extract_frame_features(f, config)
-            per_frame.append(desc)
+    per_frame = [extract_frame_features(f, config)[1] for g in groups for f in g.database_frames]
     return train_vocabulary(per_frame, k=k, seed=seed)

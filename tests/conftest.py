@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import shutil
 import threading
 from pathlib import Path
 
@@ -79,7 +80,8 @@ def generate_scene_dataset(
 # --- malformed dataset layouts ------------------------------------------------
 # Each edit takes a dataset root and its first scene directory (the root
 # itself for a single scene), breaks one layout rule, and returns the path
-# the reader's error must name.
+# the reader's error must name.  The last two keep the layout but leave the
+# root's manifest.txt counting frames that are gone.
 
 
 def _query_directory_without_point(root: Path, scene: Path) -> Path:
@@ -120,6 +122,21 @@ def _point_id_past_the_scene_stride(root: Path, scene: Path) -> Path:
     return scene / "points" / str(SCENE_POINT_ID_STRIDE)
 
 
+def _query_files_deleted(root: Path, scene: Path) -> Path:
+    victim = min((scene / "queries").rglob("q_*.pose"))
+    for suffix in (".rgb", ".depth", ".inst", ".pose"):
+        victim.with_suffix(suffix).unlink()
+    return root / "manifest.txt"
+
+
+def _point_deleted(root: Path, scene: Path) -> Path:
+    """points/<pid> and queries/<pid> of the first Point."""
+    pid = min((scene / "points").iterdir(), key=lambda p: int(p.name)).name
+    shutil.rmtree(scene / "points" / pid)
+    shutil.rmtree(scene / "queries" / pid, ignore_errors=True)
+    return root / "manifest.txt"
+
+
 # name -> (edit, the fewest scenes it applies to)
 MALFORMED_LAYOUTS = {
     "query-dir-without-point": (_query_directory_without_point, 1),
@@ -128,6 +145,8 @@ MALFORMED_LAYOUTS = {
     "scene-gap": (_scene_numbers_with_a_gap, 2),
     "scene-without-scene-txt": (_scene_without_scene_file, 2),
     "zero-padded-point": (_zero_padded_point_directory, 1),
+    "query-files-deleted": (_query_files_deleted, 1),
+    "point-deleted": (_point_deleted, 1),
 }
 
 

@@ -25,8 +25,6 @@ KEEP = {
     "geometry.backproject",
     # The top-k candidate list of the planned geometric re-ranking stage.
     "retrieval.query_topk",
-    # The only check of a manifest's pose count against the frames on disk.
-    "dataset.load_dataset",
     # With scene_from_text, the one reader of scene.txt.
     "dataset.load_scene_model",
     "scene.scene_from_text",

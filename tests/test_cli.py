@@ -13,7 +13,14 @@ import pytest
 from conftest import MALFORMED_LAYOUTS
 
 from pointloc.cli import EXIT_DATA, EXIT_EVAL, EXIT_OK, EXIT_USAGE, build_parser, main
-from pointloc.dataset import iter_point_groups, read_pgm16, read_ppm, write_pgm16, write_ppm
+from pointloc.dataset import (
+    iter_point_groups,
+    load_manifest,
+    read_pgm16,
+    read_ppm,
+    write_pgm16,
+    write_ppm,
+)
 from pointloc.evaluation import parse_recall_csv
 from pointloc.pipeline import load_config, train_vocabulary_for_dataset
 from pointloc.retrieval import save_vocabulary
@@ -100,6 +107,24 @@ class TestGenerate:
         assert f"output directory {out} is not empty" in capsys.readouterr().err
         assert sorted(out.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--spacing", "0", "grid_spacing must be positive"),
+         ("--queries", "-2", "queries_per_point must not be negative"),
+         ("--radius", "-0.5", "query_radius must not be negative"),
+         ("--noise", "-0.1", "noise_factor must not be negative"),
+         ("--resolution", "0", "focal lengths must be positive"),
+         ("--floor", "3", "floor extent must be at least 6 x 6 m")],
+    )
+    def test_bad_setting_is_usage_error_and_writes_nothing(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        """A half-written directory would refuse the corrected rerun as not empty."""
+        out = tmp_path / "ds"
+        assert main(["generate", "--seed", "1", "--out", str(out), flag, value]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def two_scenes(tmp_path_factory):
@@ -144,6 +169,23 @@ class TestMalformedLayout:
         assert main(self.COMMANDS[command](workspace, ds, out)) == EXIT_DATA
         assert str(culprit) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_deleted_query_exits_3_from_every_command(self, workspace, tmp_path, capsys):
+        """Otherwise the query would silently leave recall's denominator."""
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace["dataset"], ds)
+        line = load_manifest(ds).scenes[0]
+        edit, _ = MALFORMED_LAYOUTS["query-files-deleted"]
+        manifest = edit(ds, ds)
+        message = (
+            f"{manifest}: scene_0 lists {line.points} points and {line.poses} poses, "
+            f"{ds} holds {line.points} and {line.poses - 1}"
+        )
+        for command, args in sorted(self.COMMANDS.items()):
+            out = tmp_path / command
+            assert main(args(workspace, ds, out)) == EXIT_DATA, command
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestLocalizeAndEvaluate:
@@ -468,13 +510,14 @@ class TestCorruptDataset:
         ) in capsys.readouterr().err
         assert not (tmp_path / "db.bin").exists()
 
+    @pytest.mark.parametrize("command", sorted(TestMalformedLayout.COMMANDS))
     @pytest.mark.parametrize(
         "setting, message",
         [("fov_deg = nan", "fov_deg = nan is not finite"),
          ("resolution = 0", "focal lengths must be positive")],
     )
     def test_manifest_camera_out_of_range_is_data_error(
-        self, workspace, tmp_path, capsys, setting, message
+        self, workspace, tmp_path, capsys, setting, message, command
     ):
         ds, _ = self.copy(workspace, tmp_path)
         manifest = ds / "manifest.txt"
@@ -485,33 +528,30 @@ class TestCorruptDataset:
                 for line in manifest.read_text().splitlines(keepends=True)
             )
         )
-        rc = main(
-            ["build-db", "--dataset", str(ds), "--vocab", str(workspace["vocab"]),
-             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
-        )
-        assert rc == EXIT_DATA
+        out = tmp_path / "out"
+        assert main(TestMalformedLayout.COMMANDS[command](workspace, ds, out)) == EXIT_DATA
         assert f"corrupt manifest {manifest}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "db.bin").exists()
+        assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(TestMalformedLayout.COMMANDS))
     @pytest.mark.parametrize(
         "line, message",
         [("format = pointloc-dataset-v9\n", "'pointloc-dataset-v9' is not pointloc-dataset-v1"),
          ("", "'format'")],
         ids=["other-version", "missing"],
     )
-    def test_manifest_format_line_is_data_error(self, workspace, tmp_path, capsys, line, message):
+    def test_manifest_format_line_is_data_error(
+        self, workspace, tmp_path, capsys, line, message, command
+    ):
         ds, _ = self.copy(workspace, tmp_path)
         manifest = ds / "manifest.txt"
         text = manifest.read_text()
         manifest.write_text(text.replace("format = pointloc-dataset-v1\n", line))
-        rc = main(
-            ["build-db", "--dataset", str(ds), "--vocab", str(workspace["vocab"]),
-             "--config", str(workspace["config"]), "--out", str(tmp_path / "db.bin")]
-        )
-        assert rc == EXIT_DATA
+        out = tmp_path / "out"
+        assert main(TestMalformedLayout.COMMANDS[command](workspace, ds, out)) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"corrupt manifest {manifest}: " in err and message in err
-        assert not (tmp_path / "db.bin").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [(3, "x"), (3, "2"), (4, "abc"), (13, "nan")])
     def test_corrupt_results_is_data_error(self, workspace, tmp_path, capsys, field, value):

@@ -23,7 +23,7 @@ from pointloc.dataset import (
     generate_dataset_to_dir,
     generate_point_frames,
     iter_point_groups,
-    load_dataset,
+    load_manifest,
     load_scene_model,
     manifest_from_text,
     manifest_to_text,
@@ -208,8 +208,8 @@ class TestDatasetIO:
         scene, groups = generate_scene_dataset(seed=5, params=params)
         manifest = generate_dataset_to_dir(5, params, tmp_path / "ds")
 
-        loaded_groups, loaded_manifest = load_dataset(tmp_path / "ds")
-        assert loaded_manifest == manifest
+        loaded_groups = list(iter_point_groups(tmp_path / "ds"))
+        assert load_manifest(tmp_path / "ds") == manifest
         assert load_scene_model(tmp_path / "ds") == scene
         assert len(loaded_groups) == len(groups)
         for orig, got in zip(
@@ -231,7 +231,7 @@ class TestDatasetIO:
 
     def test_load_empty_directory_fails(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="manifest"):
-            load_dataset(tmp_path)
+            load_manifest(tmp_path)
 
     def test_manifest_pose_count_recount(self, tmp_path):
         manifest = generate_dataset_to_dir(5, TINY, tmp_path / "ds")
@@ -243,14 +243,9 @@ class TestDatasetIO:
         victim = next((tmp_path / "ds" / "queries").rglob("q_*.pose"))
         for suffix in (".pose", ".rgb", ".depth", ".inst"):
             victim.with_suffix(suffix).unlink()
-        with pytest.raises(DatasetFormatError, match="poses"):
-            load_dataset(tmp_path / "ds")
-
-    def test_streaming_iter_matches_load(self, tmp_path):
-        generate_dataset_to_dir(5, TINY, tmp_path / "ds")
-        streamed = list(iter_point_groups(tmp_path / "ds"))
-        loaded, _ = load_dataset(tmp_path / "ds")
-        assert [g.point_id for g in streamed] == [g.point_id for g in loaded]
+        for read in (lambda d: list(iter_point_groups(d)), query_poses):
+            with pytest.raises(DatasetFormatError, match="poses"):
+                read(tmp_path / "ds")
 
     def test_multi_scene_point_ids_offset_per_scene(self, tmp_path):
         params = replace(TINY, scenes=2)
@@ -361,6 +356,42 @@ class TestWalk:
         assert errors[0] == errors[1]
         assert str(culprit) in errors[0]
 
+    def test_count_off_in_one_scene_names_that_scene(self, walk_datasets, tmp_path):
+        root = tmp_path / "ds"
+        shutil.copytree(walk_datasets / "ds2", root)
+        line = load_manifest(root).scenes[1]
+        edit, _ = MALFORMED_LAYOUTS["query-files-deleted"]
+        manifest = edit(root, root / "scene_1")
+        message = (
+            f"{manifest}: scene_1 lists {line.points} points and {line.poses} poses, "
+            f"{root / 'scene_1'} holds {line.points} and {line.poses - 1}"
+        )
+        for read in (lambda d: list(iter_point_groups(d)), query_poses):
+            with pytest.raises(DatasetFormatError, match=re.escape(message)):
+                read(root)
+
+    def test_manifest_of_another_scene_count_is_rejected(self, walk_datasets, tmp_path):
+        root = tmp_path / "ds"
+        shutil.copytree(walk_datasets / "ds2", root)
+        shutil.copy(root / "scene_0" / "manifest.txt", root / "manifest.txt")
+        message = f"{root / 'manifest.txt'}: 1 scene lines for 2 scenes"
+        for read in (lambda d: list(iter_point_groups(d)), query_poses):
+            with pytest.raises(DatasetFormatError, match=re.escape(message)):
+                read(root)
+
+    def test_tree_without_manifest_walks_unchecked(self, walk_datasets, tmp_path):
+        """perfbench/prepare.py writes scene.txt and the frames but no
+        manifest, so there is nothing to count against."""
+        root = tmp_path / "ds"
+        shutil.copytree(walk_datasets / "ds1", root)
+        groups = list(iter_point_groups(root))
+        poses = query_poses(root)
+        (root / "manifest.txt").unlink()
+        assert list(iter_point_groups(root)) == groups
+        assert query_poses(root) == poses
+        MALFORMED_LAYOUTS["query-files-deleted"][0](root, root)
+        assert len(query_poses(root)) == len(poses) - 1
+
     def test_scene_directory_next_to_scene_file_is_rejected(self, walk_datasets, tmp_path):
         """A root holding scene.txt is one scene; a scene_<i> beside it would
         go unread."""
@@ -421,7 +452,8 @@ class TestManifest:
         for scenes in (1, 2):
             params = replace(TINY, scenes=scenes, queries_per_point=1)
             manifest = generate_dataset_to_dir(5, params, tmp_path / f"ds{scenes}")
-            assert load_dataset(tmp_path / f"ds{scenes}")[1] == manifest
+            assert load_manifest(tmp_path / f"ds{scenes}") == manifest
+            assert len(list(iter_point_groups(tmp_path / f"ds{scenes}"))) == manifest.points
 
     def test_totals_off_the_scene_lines_fail_to_load(self, tmp_path):
         generate_dataset_to_dir(5, replace(TINY, queries_per_point=1), tmp_path)
@@ -429,8 +461,9 @@ class TestManifest:
         text = path.read_text()
         path.write_text(re.sub(r"^poses = .*$", "poses = 999", text, flags=re.M))
         message = f"corrupt manifest {re.escape(str(path))}: poses = 999 is not"
-        with pytest.raises(DatasetFormatError, match=message):
-            load_dataset(tmp_path)
+        for read in (load_manifest, lambda d: list(iter_point_groups(d))):
+            with pytest.raises(DatasetFormatError, match=message):
+                read(tmp_path)
 
     @pytest.mark.parametrize(
         "line, message",
