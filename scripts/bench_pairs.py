@@ -1,15 +1,26 @@
 """Compare two checkouts with the pointloc benchmark in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --seeds 41-50 --out BENCH_N.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --seeds 41-50 \
+        --claim generate_s --out BENCH_N.json
 
 For each seed and each workload in BENCHMARK.json, runs
 ``perfbench/run.py --trace 0`` once in each checkout, alternating which side
 goes first (the parent on even pair numbers), one run at a time.  Writes
 every run's metrics and context, then per workload and metric each side's
-median and quartiles (``statistics.quantiles(n=4)``) and, for each metric,
-how many pairs the change won, lost and tied in the metric's better
-direction.  ``--trace-seed S`` adds one traced run per side and workload
-(``--trace 1``) whose per-layer metrics are stored as well.
+median and quartiles (``statistics.quantiles(n=4)``), how many pairs the
+change won, lost and tied in the metric's better direction, and two
+verdicts:
+
+- ``claim_met``: the change won at least nine tenths of all pairs (ties
+  count for neither) and its median is better than the parent's by more
+  than the parent's quartile spread;
+- ``unresolved``: the parent's quartile spread exceeds the metric's bound
+  in BENCHMARK.json (a fraction of the parent's median), and not every run
+  of the change reads better than every run of the parent.
+
+The progress line names queries/s and each ``--claim`` metric.
+``--trace-seed S`` adds one traced run per side and workload (``--trace 1``)
+whose per-layer metrics are stored as well.
 """
 
 from __future__ import annotations
@@ -51,14 +62,22 @@ def compare(parent: list[dict], change: list[dict], spec: list[dict]) -> dict:
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         diffs = [sign * (b - a) for a, b in zip(p, c)]
+        before, after = summary(p), summary(c)
+        spread = before["q3"] - before["q1"]
+        wins = sum(d > 0 for d in diffs)
+        all_better = min(sign * v for v in c) > max(sign * v for v in p)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "parent": summary(p),
-            "change": summary(c),
-            "change_wins": sum(d > 0 for d in diffs),
+            "bound": metric["bound"],
+            "parent": before,
+            "change": after,
+            "change_wins": wins,
             "change_losses": sum(d < 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
+            "claim_met": wins >= 0.9 * len(diffs)
+            and sign * (after["median"] - before["median"]) > spread,
+            "unresolved": spread > metric["bound"] * abs(before["median"]) and not all_better,
         }
     return out
 
@@ -70,15 +89,24 @@ def main() -> int:
     parser.add_argument("--seeds", type=seeds_arg, required=True, help="e.g. 41-50")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace-seed", type=int, default=None)
+    parser.add_argument(
+        "--claim", action="append", default=[], help="a claimed metric, e.g. generate_s"
+    )
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    for name in args.claim:
+        if name not in units:
+            parser.error(f"--claim {name}: not an end-to-end metric of BENCHMARK.json")
+    shown = ["queries_per_s", *(n for n in args.claim if n != "queries_per_s")]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {
         "machine": {"platform": platform.platform(), "processor": platform.processor()},
         "seconds": args.seconds,
         "seeds": args.seeds,
+        "claims": args.claim,
         "workloads": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
@@ -88,8 +116,9 @@ def main() -> int:
             for side in order:
                 started = time.time()
                 runs[side].append(run(sides[side], workload, seed, args.seconds, 0))
-                print(f"{workload} seed {seed} {side}: "
-                      f"{runs[side][-1]['metrics']['queries_per_s']['value']:.2f} q/s "
+                metrics = runs[side][-1]["metrics"]
+                values = ", ".join(f"{n} {metrics[n]['value']:.4g} {units[n]}" for n in shown)
+                print(f"{workload} seed {seed} {side}: {values} "
                       f"({time.time() - started:.0f} s)", file=sys.stderr, flush=True)
         entry = {
             "results_sha256_equal_per_seed": [

@@ -26,6 +26,7 @@ every queries/<pid> has its points/<pid>.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -276,34 +277,56 @@ def read_pgm16(path: Path) -> np.ndarray:
     return _read_netpbm(path, b"P5", 65535, ">u2", ())
 
 
+def _netpbm_header(fh, path: Path, magic: bytes, maxval: int, dtype, channels: tuple):
+    """The raster shape (height, width, *channels) the header of a binary
+    netpbm file announces, and its payload's byte count; leaves fh at the
+    payload."""
+    found = fh.readline().strip()
+    fields: list[int] = []
+    while len(fields) < 3:
+        line = fh.readline()
+        if not line:
+            raise DatasetFormatError(f"{path}: truncated netpbm header")
+        for tok in line.split(b"#", 1)[0].split():
+            if not tok.isdigit():
+                raise DatasetFormatError(f"{path}: bad netpbm header token {tok!r}")
+            fields.append(int(tok))
+    if found != magic or len(fields) != 3 or fields[2] != maxval:
+        raise DatasetFormatError(f"{path}: expected {magic.decode()} netpbm with maxval {maxval}")
+    shape = (fields[1], fields[0], *channels)
+    return shape, math.prod(shape) * np.dtype(dtype).itemsize
+
+
+def _check_payload(path: Path, size: int, expected: int) -> None:
+    if size != expected:
+        raise DatasetFormatError(f"{path}: {size} raster bytes, the header announces {expected}")
+
+
 def _read_netpbm(path: Path, magic: bytes, maxval: int, dtype, channels: tuple) -> np.ndarray:
     """The raster of a binary netpbm file whose payload is exactly the
     (height, width, *channels) array its header announces."""
     try:
         with open(path, "rb") as fh:
-            found = fh.readline().strip()
-            fields: list[int] = []
-            while len(fields) < 3:
-                line = fh.readline()
-                if not line:
-                    raise DatasetFormatError(f"{path}: truncated netpbm header")
-                for tok in line.split(b"#", 1)[0].split():
-                    if not tok.isdigit():
-                        raise DatasetFormatError(f"{path}: bad netpbm header token {tok!r}")
-                    fields.append(int(tok))
+            shape, expected = _netpbm_header(fh, path, magic, maxval, dtype, channels)
             data = fh.read()
     except OSError as e:
         raise DatasetFormatError(f"cannot read {path}: {e}") from e
-    if found != magic or len(fields) != 3 or fields[2] != maxval:
-        raise DatasetFormatError(f"{path}: expected {magic.decode()} netpbm with maxval {maxval}")
-    shape = (fields[1], fields[0], *channels)
-    dtype = np.dtype(dtype)
-    expected = math.prod(shape) * dtype.itemsize
-    if len(data) != expected:
-        raise DatasetFormatError(
-            f"{path}: {len(data)} raster bytes, the header announces {expected}"
-        )
+    _check_payload(path, len(data), expected)
     return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+def _pgm16_shape(path: Path) -> tuple[int, int]:
+    """The (height, width) of a 16-bit PGM file, checked as read_pgm16 checks
+    it but from its header and byte count alone: every 16-bit value is valid,
+    so the payload is not read."""
+    try:
+        with open(path, "rb") as fh:
+            shape, expected = _netpbm_header(fh, path, b"P5", 65535, ">u2", ())
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+    except OSError as e:
+        raise DatasetFormatError(f"cannot read {path}: {e}") from e
+    _check_payload(path, size, expected)
+    return shape
 
 
 # --- frame files ----------------------------------------------------------------
@@ -330,19 +353,17 @@ def _read_pose(path: Path) -> Pose:
 
 
 def read_frame(directory: Path, point_id: int, frame_id: int, is_database: bool) -> Frame:
-    """One frame from its files.  The .inst raster is checked like the others
-    but not kept: no reader of a dataset uses instances, so the frame carries
-    None for them."""
+    """One frame from its files.  The .inst file is checked like the others,
+    from its header and size, but not read: no reader of a dataset uses
+    instances, so the frame carries None for them."""
     stem = _frame_stem(directory, frame_id, is_database)
     pose = _read_pose(stem.with_suffix(".pose"))
     rgb = read_ppm(stem.with_suffix(".rgb"))
     depth = read_pgm16(stem.with_suffix(".depth")).astype(np.uint16)
-    inst = read_pgm16(stem.with_suffix(".inst"))
-    if not rgb.shape[:2] == depth.shape == inst.shape:
-        sizes = ", ".join(
-            f"{suffix} {a.shape[1]}x{a.shape[0]}"
-            for suffix, a in ((".rgb", rgb), (".depth", depth), (".inst", inst))
-        )
+    inst_shape = _pgm16_shape(stem.with_suffix(".inst"))
+    if not rgb.shape[:2] == depth.shape == inst_shape:
+        shapes = {".rgb": rgb.shape[:2], ".depth": depth.shape, ".inst": inst_shape}
+        sizes = ", ".join(f"{suffix} {w}x{h}" for suffix, (h, w) in shapes.items())
         raise DatasetFormatError(f"frame {stem}: rasters disagree in size ({sizes})")
     return Frame(rgb, depth, None, pose, point_id, frame_id, is_database)
 

@@ -154,6 +154,13 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics) -> Frame:
     Each box's float32 slab test runs only inside its screen footprint
     (`_footprints`).  Every operation is elementwise, so a pixel's values are
     those of testing every box at every pixel.
+
+    A hit pixel's colour is a pure function of its key: the hit box and face
+    and the fine and coarse texture cells it falls in.  Shading therefore
+    runs once per run of equal keys among the hit pixels in raster order,
+    and each run's colour is repeated over its pixels.  The per-run floats
+    come from the same inputs by the same operations as a per-pixel pass, so
+    the frame is bit for bit the one shading every pixel would give.
     """
     boxes = scene.all_boxes()
     rotation = pose.rotation.rotation_matrix()
@@ -211,31 +218,32 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics) -> Frame:
 
     instances = np.zeros(shape, dtype=np.uint16)
     rgb = np.empty((*shape, 3), dtype=np.uint8)
-    rgb[:] = BACKGROUND_RGB
+    # Hit pixels are gathered and scattered by boolean mask on raveled
+    # rasters: numpy copies the long runs of True a hit mask has as blocks,
+    # far faster than by index lists, and rows of 2-D arrays slower still.
+    hit = hit_mask.reshape(-1)
+    pixels = rgb.view("V3").reshape(-1)  # one 3-byte item per pixel
+    pixels[~hit] = np.array(BACKGROUND_RGB, dtype=np.uint8).view("V3")
 
-    if hit_mask.any():
-        # 1-D takes: numpy gathers and scatters rows of a 2-D array far slower
-        idx = np.flatnonzero(hit_mask)
-        t = best_t.take(idx)
-        box_idx = best_box.take(idx).astype(np.intp)
-        axis = best_axis.take(idx).astype(np.intp)
+    if hit.any():
+        t = best_t.reshape(-1)[hit]
+        box_idx = best_box.reshape(-1)[hit]
+        axis = best_axis.reshape(-1)[hit]
 
         ids = np.array([b.instance_id for b in boxes], dtype=np.uint16)
         albedos = np.array([b.albedo for b in boxes], dtype=np.float64)
-        box_id = ids.take(box_idx)
-        np.put(instances, idx, box_id)
+        instances.reshape(-1)[hit] = ids.take(box_idx)
 
-        d_hit = np.stack(d).reshape(3, -1).take(idx, axis=1)
-        px = origin[0] + t * d_hit[0]
-        py = origin[1] + t * d_hit[1]
-        pz = origin[2] + t * d_hit[2]
-
+        d_hit = [c.reshape(-1)[hit] for c in d]
+        px, py, pz = (origin[a] + t * d_hit[a] for a in range(3))
         # face f = 2 * axis + (normal sign > 0); the normal opposes the ray
         # along the entry axis
-        d_axis = d_hit.take(axis * len(idx) + np.arange(len(idx)))
-        face = axis * 2 + ~(d_axis > 0)
-        face_code = face.astype(np.uint64)
-        box_code = box_id.astype(np.uint64)
+        on_x, on_z = axis == 0, axis == 2
+        d_axis = np.where(on_x, d_hit[0], np.where(on_z, d_hit[2], d_hit[1]))
+        bf = box_idx.astype(np.int32) * 6 + axis * 2 + ~(d_axis > 0)
+        # the two in-face coordinates
+        cu = np.where(on_x, py, px)
+        cv = np.where(on_z, py, pz)
 
         # the texture cell size and the Lambert shade depend on (box, face) only
         faces = np.arange(6)
@@ -245,7 +253,7 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics) -> Frame:
                 _hash01(faces.astype(np.uint64) + np.uint64(7), ids.astype(np.uint64)[:, None])
                 * len(cell_sizes)
             ).astype(np.intp)
-        ]
+        ].reshape(-1)
         lambert = -(np.where(faces % 2 == 1, 1.0, -1.0) * _LIGHT_DIR[faces // 2])
         shade_table = AMBIENT + DIFFUSE * np.maximum(0.0, lambert)  # n . (-light)
 
@@ -254,15 +262,26 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics) -> Frame:
         # its contrast varies per coarse cell, so different wall regions have
         # distinct descriptor statistics.  The coarse layer adds a brightness
         # signature that gives whole views a retrievable identity.
-        cu = np.where(axis == 0, py, px)
-        cv = np.where(axis == 2, py, pz)
-        cell = cell_table.take(box_idx * 6 + face)
-        cell_u = np.floor(cu / cell).astype(np.int64).view(np.uint64)
-        cell_v = np.floor(cv / cell).astype(np.int64).view(np.uint64)
-        coarse_u = np.floor(cu / TEXTURE_COARSE_CELL).astype(np.int64).view(np.uint64)
-        coarse_v = np.floor(cv / TEXTURE_COARSE_CELL).astype(np.int64).view(np.uint64)
+        cell = cell_table.take(bf)
+        key = [bf, cu / cell, cv / cell, cu / TEXTURE_COARSE_CELL, cv / TEXTURE_COARSE_CELL]
+        for channel in key[1:]:
+            np.floor(channel, out=channel)
+        # a pixel's colour is a function of its key alone: shade one pixel
+        # per run of equal keys, the run's first
+        starts = np.zeros(len(t), dtype=bool)
+        starts[0] = True
+        for channel in key:
+            starts[1:] |= channel[1:] != channel[:-1]
+        first = np.flatnonzero(starts)
+        box, face = np.divmod(bf.take(first), 6)
+        cell_u, cell_v, coarse_u, coarse_v = (
+            c.take(first).astype(np.int64).view(np.uint64) for c in key[1:]
+        )
+        face_code = face.astype(np.uint64)
+        box_code = ids.take(box).astype(np.uint64)
+
         # both coarse hashes start with the same two channel rounds
-        coarse = _mix(_mix(np.zeros(len(idx), dtype=np.uint64), coarse_u), coarse_v)
+        coarse = _mix(_mix(np.zeros(len(first), dtype=np.uint64), coarse_u), coarse_v)
         contrast = _to01(_mix(_mix(coarse.copy(), face_code + np.uint64(53)), box_code))
         contrast *= 0.6
         contrast += 0.4
@@ -278,13 +297,13 @@ def render(scene: SceneModel, pose: Pose, k: CameraIntrinsics) -> Frame:
         tex *= bright
         tex *= shade_table.take(face)
 
-        color = albedos.take(box_idx, axis=0)
+        color = albedos.reshape(-1).take(box[:, None] * 3 + np.arange(3))
         color *= tex[:, None]
         color *= 255.0
         np.round(color, out=color)
         np.clip(color, 0, 255, out=color)
-        # one 3-byte pixel per index
-        np.put(rgb.view("V3"), idx, color.astype(np.uint8).view("V3"))
+        run_colors = color.astype(np.uint8).view("V3").reshape(-1)
+        pixels[hit] = np.repeat(run_colors, np.diff(first, append=len(t)))
 
     return Frame(
         rgb=rgb,
@@ -303,11 +322,16 @@ def add_rgb_noise(frame: Frame, factor: float = 0.02, seed=0) -> Frame:
     seed may be an int or a numpy SeedSequence; every call with the same seed
     produces the same raster.
     """
-    if factor < 0:
+    if not factor >= 0:
         raise ValueError("noise factor must be >= 0")
     if factor == 0:
         return frame
-    rng = np.random.default_rng(seed)
-    noise = np.round(255.0 * factor * rng.standard_normal(frame.rgb.shape))
-    noisy = np.clip(frame.rgb.astype(np.int64) + noise.astype(np.int64), 0, 255)
+    noise = np.random.default_rng(seed).standard_normal(frame.rgb.shape)
+    noise *= 255.0 * factor
+    np.round(noise, out=noise)
+    # past +-255 every sum clamps alike, and the rest fits int16
+    np.clip(noise, -255, 255, out=noise)
+    noisy = frame.rgb.astype(np.int16)
+    noisy += noise.astype(np.int16)
+    np.clip(noisy, 0, 255, out=noisy)
     return replace(frame, rgb=noisy.astype(np.uint8))

@@ -232,7 +232,8 @@ def embed_vlad(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-word residual aggregation over +/-1 descriptor vectors with
-    intra-normalization, then global L2 normalization; empty input -> zeros.
+    intra-normalization, then global L2 normalization by the root of the
+    nonzero block count; empty input -> zeros.
 
     `words` are the descriptors' vocabulary words when already assigned;
     `out`, a zero-filled float64 row of length k * 256, receives the values.
@@ -261,15 +262,16 @@ def embed_vlad(
         residuals -= np.unpackbits(vocab.centroids, axis=1)[words]
         sums = (onehot @ residuals).astype(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, None]
+        nonzero = np.count_nonzero(norms)
         norms[norms == 0] = 1.0  # a zero block stays 0
         sums /= norms
+        # Every nonzero block is now a unit vector, so the row's L2 norm is
+        # the root of their count.  Taking it so, rather than summing the
+        # squares of the k * 256 row, leaves the row independent of how a
+        # BLAS library splits that sum across threads.
+        if nonzero:
+            sums /= np.sqrt(nonzero)
         values.reshape(k, DESCRIPTOR_BITS)[used] = sums  # words without members stay 0
-        # The global norm is taken over the whole row: a sum over the used
-        # blocks alone could group, and so round, differently.  Only the used
-        # blocks are divided; the others hold 0, and 0 / norm is +0.0.
-        norm = np.linalg.norm(values)
-        if norm > 0:
-            values.reshape(k, DESCRIPTOR_BITS)[used] /= norm
     return values
 
 

@@ -390,8 +390,9 @@ def lift_cloud_scalar(xy, depth, k):
 
 def embed_vlad_per_word(descriptors, vocab):
     """The per-word VLAD aggregation loop: retrieval.embed_vlad as it was
-    before the one-hot product, kept verbatim as its oracle (returning the
-    row itself, as embed_vlad now does)."""
+    before the one-hot product, kept verbatim as its oracle, but returning
+    the row itself and dividing it by the root of its nonzero block count,
+    as embed_vlad now does."""
     from pointloc.features import DESCRIPTOR_BITS
     from pointloc.retrieval import assign_words
 
@@ -415,8 +416,8 @@ def embed_vlad_per_word(descriptors, vocab):
     with np.errstate(invalid="ignore"):
         blocks = np.where(norms > 0, blocks / norms, 0.0)
     flat = blocks.ravel()
-    norm = np.linalg.norm(flat)
-    return flat / norm if norm > 0 else np.zeros(dim)
+    nonzero = np.count_nonzero(norms)
+    return flat / np.sqrt(nonzero) if nonzero else np.zeros(dim)
 
 
 def hamming_matrix_summed(a, b):

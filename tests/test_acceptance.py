@@ -439,7 +439,7 @@ class TestEquivalenceOracle:
     PARAMS = GenerationParams(
         queries_per_point=8, scene=SceneParams(floor_width=6.0, floor_depth=6.0)
     )
-    VOCAB_K = 32  # small enough that the VLAD norm stays single-threaded
+    VOCAB_K = 32
     CONFIGS = {
         "vlad": PipelineConfig(retrieval="vlad", method="gnc", record_timings=False),
         "bow": PipelineConfig(retrieval="bow", method="ransac+icp", record_timings=False),

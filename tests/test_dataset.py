@@ -20,6 +20,7 @@ from pointloc.dataset import (
     GenerationParams,
     InvalidKeyPoseError,
     SceneSummary,
+    _pgm16_shape,
     generate_dataset_to_dir,
     generate_point_frames,
     iter_point_groups,
@@ -192,6 +193,26 @@ class TestRasterFiles:
         (tmp_path / "bad.rgb").write_bytes(header + bytes(60))
         with pytest.raises(DatasetFormatError, match="bad.rgb"):
             read_ppm(tmp_path / "bad.rgb")
+
+    def test_pgm16_shape_checks_as_read_pgm16(self, tmp_path):
+        """read_frame checks a .inst file by its header and byte count only;
+        every cut, a trailing byte, a bad header and a missing file raise what
+        reading the raster raises."""
+        write_pgm16(tmp_path / "x", np.arange(5 * 4, dtype=np.uint16).reshape(5, 4))
+        assert _pgm16_shape(tmp_path / "x") == (5, 4)
+        data = (tmp_path / "x").read_bytes()
+        blobs = [data[:cut] for cut in range(len(data))] + [data + b"\x00"]
+        blobs += [b"P6\n4 5\n65535\n" + bytes(40), b"P5\n4 5\n255\n" + bytes(40)]
+        blobs += [b"P5\n4 x\n65535\n" + bytes(40), None]
+        for blob in blobs:
+            bad = tmp_path / "bad"
+            bad.unlink(missing_ok=True)
+            if blob is not None:
+                bad.write_bytes(blob)
+            with pytest.raises(DatasetFormatError) as read:
+                read_pgm16(bad)
+            with pytest.raises(DatasetFormatError, match=re.escape(str(read.value))):
+                _pgm16_shape(bad)
 
     def test_header_comments_accepted(self, tmp_path):
         (tmp_path / "x.rgb").write_bytes(b"P6\n# made by hand\n2 1 # size\n255\n" + bytes(range(6)))

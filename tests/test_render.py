@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -201,8 +202,10 @@ class TestCulledRender:
             inside[v0:v1, u0:u1] = True
             assert not (hits & ~inside).any(), box
 
-    def test_perfbench_room_frames(self, monkeypatch):
-        """Every frame of two Points of the seed-7 10 x 10 m room at 256 x 256."""
+    @staticmethod
+    def perfbench_room_calls(monkeypatch) -> list[tuple]:
+        """The render arguments of every frame of two Points of the seed-7
+        10 x 10 m room at 256 x 256, the room the benchmark renders."""
         params = dataset.GenerationParams(
             queries_per_point=13, scene=SceneParams(floor_width=10.0, floor_depth=10.0)
         )
@@ -217,8 +220,27 @@ class TestCulledRender:
         for point in generate_point_grid(room, params.grid_spacing, params.camera_height)[:2]:
             dataset.generate_point_frames(room, point, params, 7)
         assert len(calls) == 2 * (6 + 13)
-        for args in calls:
+        return calls
+
+    def test_perfbench_room_frames(self, monkeypatch):
+        for args in self.perfbench_room_calls(monkeypatch):
             assert_same_frame(render(*args), render_full_raster(*args))
+
+    # sha256 of each raster kind's bytes over the frames above, in render order
+    ROOM_DIGESTS = {
+        "rgb": "c6cbd13d2ba22fc3edb5748f1fcfc5163db0276dd278ebe27af73089319df467",
+        "depth": "e80708727ea25c02d012434bd85f85326b8b0ce19d39400746e4483778e01d50",
+        "instances": "15d38e34bee92e90db3083f365173a36f3fe453566af80933962b09ded15e3ff",
+    }
+
+    def test_perfbench_room_frame_digests(self, monkeypatch):
+        """Recorded from the renderer that shaded every pixel on its own."""
+        digests = {name: hashlib.sha256() for name in self.ROOM_DIGESTS}
+        for args in self.perfbench_room_calls(monkeypatch):
+            frame = render(*args)
+            for name, h in digests.items():
+                h.update(getattr(frame, name).tobytes())
+        assert {name: h.hexdigest() for name, h in digests.items()} == self.ROOM_DIGESTS
 
 
 class TestRgbNoise:
@@ -260,3 +282,20 @@ class TestRgbNoise:
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
             add_rgb_noise(self.make_frame(), -0.1, seed=0)
+
+    def test_nan_factor_rejected(self):
+        with pytest.raises(ValueError):
+            add_rgb_noise(self.make_frame(), float("nan"), seed=0)
+
+    @pytest.mark.parametrize("factor", [0.02, 1.0, 100.0])
+    def test_matches_int64_formula(self, factor, rng):
+        """Bit for bit the int64 sum, clamped; at factor 100 most noise values
+        lie far past +-255, where the int16 path clamps them first."""
+        frame = self.make_frame()
+        frame = replace(frame, rgb=rng.integers(0, 256, frame.rgb.shape, dtype=np.uint8))
+        normal = np.random.default_rng(4).standard_normal(frame.rgb.shape)
+        noise = np.round(255.0 * factor * normal)
+        want = np.clip(frame.rgb.astype(np.int64) + noise.astype(np.int64), 0, 255)
+        if factor == 100.0:
+            assert (np.abs(noise) > 255).mean() > 0.9
+        assert np.array_equal(add_rgb_noise(frame, factor, seed=4).rgb, want.astype(np.uint8))

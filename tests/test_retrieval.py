@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import DenseRetrievalIndex, assert_same_as_dense, embed_vlad_per_word, hamming, scan_ranked
 
+import pointloc
 from pointloc.features import DESCRIPTOR_BITS
 from pointloc.retrieval import (
     EmptyIndexError,
@@ -174,6 +179,35 @@ class TestEmbedVlad:
         flat = blocks.ravel()
         flat /= np.linalg.norm(flat)
         assert np.allclose(e, flat, atol=1e-12)
+
+    def test_rows_independent_of_blas_threads(self):
+        """k = 256 rows (65,536 wide), embedded under OpenBLAS/OpenMP pools of
+        2 and 1 threads in fresh processes, must agree byte for byte."""
+        script = (
+            "import sys, numpy as np\n"
+            "from pointloc.retrieval import Vocabulary, embed_vlad\n"
+            "rng = np.random.default_rng(5)\n"
+            "vocab = Vocabulary(256, rng.integers(0, 256, (256, 32), dtype=np.uint8),"
+            " np.ones(256), 0)\n"
+            "for _ in range(24):\n"
+            "    descs = rng.integers(0, 256, (600, 32), dtype=np.uint8)\n"
+            "    sys.stdout.buffer.write(embed_vlad(descs, vocab).tobytes())\n"
+        )
+        src = str(Path(pointloc.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("2", "1"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            ))
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 24 * 256 * DESCRIPTOR_BITS * 8
+        assert outputs[0] == outputs[1]
 
 
 def float_bits(values: np.ndarray) -> np.ndarray:
