@@ -7,7 +7,6 @@ Subcommands mirror the pipeline stages so each is independently runnable:
     pointloc build-db    --dataset DIR --vocab FILE --config FILE --out DB
     pointloc localize    --db DB --dataset DIR --config FILE --out results.csv
     pointloc evaluate    --results results.csv --dataset DIR --format markdown
-    pointloc bench       --db DB --dataset DIR --config FILE
 
 Exit codes: 0 success, 2 invalid arguments, 3 data/format error,
 4 evaluation failure.
@@ -106,13 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", default=None, help="write the report here instead of stdout")
     e.set_defaults(func=cmd_evaluate)
 
-    n = sub.add_parser("bench", help="per-stage mean timing over all queries")
-    n.add_argument("--db", required=True)
-    n.add_argument("--dataset", required=True)
-    n.add_argument("--config", required=True)
-    n.add_argument("--limit", type=int, default=0, help="cap the number of queries (0 = all)")
-    n.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -172,6 +164,7 @@ def cmd_build_db(args) -> int:
 
 def cmd_localize(args) -> int:
     from pointloc.dataset import iter_point_groups
+    from pointloc.evaluation import render_timing_markdown, timing_report
     from pointloc.pipeline import load_config, load_database, localize, write_results
 
     config = load_config(args.config)
@@ -186,6 +179,9 @@ def cmd_localize(args) -> int:
     write_results(results, args.out)
     fallbacks = sum(r.fallback for r in results)
     print(f"{len(results)} queries localized ({fallbacks} fallbacks) -> {args.out}")
+    if config.record_timings:  # without them every stage mean is zero
+        report = timing_report(results, hardware=config.hardware)
+        print("\n" + render_timing_markdown(report), end="")
     return EXIT_OK
 
 
@@ -195,7 +191,6 @@ def cmd_evaluate(args) -> int:
         EvaluationError,
         RecallTable,
         check_monotonicity,
-        emit_report,
         recall_at,
         render_recall_csv,
         render_recall_markdown,
@@ -231,34 +226,15 @@ def cmd_evaluate(args) -> int:
     name = args.name or Path(args.results).stem
     table = RecallTable()
     table.add(name, recall_row)
-    if args.out:
-        emit_report(table, args.format, args.out)
-        print(f"report written to {args.out}")
-    else:
-        render = render_recall_csv if args.format == "csv" else render_recall_markdown
+    render = render_recall_csv if args.format == "csv" else render_recall_markdown
+    if not args.out:
         print(render(table), end="")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    from itertools import islice
-
-    from pointloc.dataset import iter_point_groups
-    from pointloc.evaluation import render_timing_markdown, timing_report
-    from pointloc.pipeline import load_config, load_database, localize
-
-    config = load_config(args.config)
-    if not config.record_timings:
-        raise ValueError("bench requires record_timings = true in the config")
-    if args.limit < 0:
-        raise ValueError("--limit must be at least 0")
-    db = load_database(args.db)
-    queries = (q for g in iter_point_groups(args.dataset) for q in g.query_frames)
-    results = [localize(db, q, config) for q in islice(queries, args.limit or None)]
-    if not results:
-        raise ValueError(f"dataset {args.dataset} holds no query frames")
-    report = timing_report(results, hardware=config.hardware)
-    print(render_timing_markdown(report), end="")
+        return EXIT_OK
+    try:
+        Path(args.out).write_text(render(table), encoding="utf-8")
+    except OSError as e:
+        raise EvaluationError(f"cannot write report to {args.out}: {e}") from e
+    print(f"report written to {args.out}")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ rotation.  Report columns follow the fixed ladder order, loosest first:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from pointloc.geometry import Pose, rotation_error, translation_error
@@ -49,6 +48,9 @@ class RecallTable:
     rows: dict[str, RecallRow] = field(default_factory=dict)
 
     def add(self, name: str, row: RecallRow) -> None:
+        """A name holding a comma or a line break would split its CSV line."""
+        if "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(f"configuration name {name!r} holds a comma or a line break")
         self.rows[name] = row
 
 
@@ -172,13 +174,3 @@ def render_timing_markdown(report: TimingReport) -> str:
         out += f"\nHardware: {report.hardware}\n"
     return out
 
-
-def emit_report(table: RecallTable, fmt: str, path: str | Path) -> None:
-    """Write the recall table as markdown or csv."""
-    if fmt not in ("markdown", "csv"):
-        raise ValueError(f"format must be markdown or csv, got {fmt!r}")
-    text = render_recall_csv(table) if fmt == "csv" else render_recall_markdown(table)
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as e:
-        raise EvaluationError(f"cannot write report to {path}: {e}") from e

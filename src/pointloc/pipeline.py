@@ -92,11 +92,11 @@ class PipelineConfig:
             ("max_keypoints", self.max_keypoints >= 1, "at least 1"),
             ("fast_threshold", 0 <= self.fast_threshold <= 255, "in 0..255"),
             ("ratio", 0.0 < self.ratio <= 1.0, "in (0, 1]"),
-            ("ransac_threshold", self.ransac_threshold > 0.0, "positive"),
+            ("ransac_threshold", 0.0 < self.ransac_threshold < math.inf, "positive and finite"),
             ("ransac_iters", self.ransac_iters >= 1, "at least 1"),
             ("icp_iters", self.icp_iters >= 0, "at least 0"),
-            ("icp_tol", self.icp_tol >= 0.0, "at least 0"),
-            ("gnc_noise_bound", self.gnc_noise_bound > 0.0, "positive"),
+            ("icp_tol", 0.0 <= self.icp_tol < math.inf, "at least 0 and finite"),
+            ("gnc_noise_bound", 0.0 < self.gnc_noise_bound < math.inf, "positive and finite"),
         )
         for key, ok, expected in checks:
             if not ok:
@@ -263,18 +263,6 @@ class StageTimings:
     pose_optimization: float = 0.0
     overall: float = 0.0
 
-    @property
-    def retrieval(self) -> float:
-        return self.embedding_extraction + self.embedding_matching
-
-    @property
-    def matching(self) -> float:
-        return self.feature_extraction + self.feature_matching
-
-    @property
-    def registration(self) -> float:
-        return self.pose_optimization
-
 
 TIMING_STAGES = tuple(f.name for f in fields(StageTimings))
 
@@ -305,9 +293,10 @@ class _StageClock:
         self._mark = self._start
 
     def lap(self, name: str) -> None:
-        """Charge the time since the previous lap to the StageTimings field `name`."""
+        """Charge the time since the previous lap to the StageTimings field
+        `name`; each stage is lapped once per query."""
         now = time.perf_counter()
-        self.values[name] = self.values.get(name, 0.0) + (now - self._mark)
+        self.values[name] = now - self._mark
         self._mark = now
 
     def timings(self) -> StageTimings:
@@ -430,7 +419,7 @@ def localize(
 
 
 def result_to_csv_line(r: LocalizationResult) -> str:
-    p = r.estimated_pose
+    p, t = r.estimated_pose, r.timings
     fields = [
         str(r.query_frame_id),
         str(r.query_point_id),
@@ -441,9 +430,9 @@ def result_to_csv_line(r: LocalizationResult) -> str:
         f"{p.rotation.x:.17g}",
         f"{p.rotation.y:.17g}",
         f"{p.rotation.z:.17g}",
-        f"{r.timings.retrieval:.9f}",
-        f"{r.timings.matching:.9f}",
-        f"{r.timings.registration:.9f}",
+        f"{t.embedding_extraction + t.embedding_matching:.9f}",
+        f"{t.feature_extraction + t.feature_matching:.9f}",
+        f"{t.pose_optimization:.9f}",
     ]
     return ",".join(fields)
 

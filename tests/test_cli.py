@@ -216,6 +216,67 @@ class TestLocalizeAndEvaluate:
         row = table.rows["tiny"]
         assert row.combined[0] <= row.combined[3]
 
+    def test_evaluate_markdown_to_file(self, workspace, tmp_path, capsys):
+        report = tmp_path / "report.md"
+        rc = main(
+            ["evaluate", "--results", str(workspace["results"]),
+             "--dataset", str(workspace["dataset"]), "--out", str(report)]
+        )
+        assert rc == EXIT_OK
+        assert report.read_text().startswith("| configuration | (5m,20°)")
+        assert capsys.readouterr().out == f"report written to {report}\n"
+
+    def test_evaluate_unwritable_out_is_eval_error(self, workspace, tmp_path, capsys):
+        report = tmp_path / "no" / "dir" / "report.csv"
+        rc = main(
+            ["evaluate", "--results", str(workspace["results"]),
+             "--dataset", str(workspace["dataset"]), "--format", "csv", "--out", str(report)]
+        )
+        assert rc == EXIT_EVAL
+        assert f"cannot write report to {report}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["name", "stem"])
+    def test_configuration_name_that_breaks_the_csv_is_usage_error(
+        self, workspace, tmp_path, capsys, how
+    ):
+        """The table row's name is --name, or else the results file's stem;
+        a comma in it would split the recall CSV line."""
+        results = tmp_path / "run,1.csv"
+        shutil.copy(workspace["results"], results)
+        name = ["--name", "a,b"] if how == "name" else []
+        report = tmp_path / "report.csv"
+        rc = main(
+            ["evaluate", "--results", str(results), "--dataset", str(workspace["dataset"]),
+             "--format", "csv", "--out", str(report), *name]
+        )
+        assert rc == EXIT_USAGE
+        shown = "a,b" if how == "name" else "run,1"
+        assert f"configuration name {shown!r} holds a comma" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_localize_prints_stage_table_when_timings_recorded(self, workspace, tmp_path, capsys):
+        """The table of mean stage times, with the config's hardware string,
+        follows the summary line; with record_timings off every mean would
+        be zero, so there is no table."""
+        labels = ("Embedding extraction", "Embedding matching", "Feature extraction",
+                  "Feature matching", "Pose optimization", "Overall")
+        for record in ("true", "false"):
+            config = tmp_path / f"{record}.cfg"
+            config.write_text(
+                CONFIG_TEXT.replace("record_timings = true", f"record_timings = {record}")
+            )
+            rc = main(
+                ["localize", "--db", str(workspace["db"]), "--dataset", str(workspace["dataset"]),
+                 "--config", str(config), "--out", str(tmp_path / "results.csv")]
+            )
+            assert rc == EXIT_OK
+            out = capsys.readouterr().out
+            if record == "true":
+                assert all(f"| {label} |" in out for label in labels)
+                assert "Hardware: test-rig" in out
+            else:
+                assert len(out.splitlines()) == 1 and "queries localized" in out
+
     def test_retrieval_only_flag(self, workspace, tmp_path):
         out = tmp_path / "retr.csv"
         rc = main(
@@ -596,20 +657,6 @@ class TestCorruptVocabulary:
         assert not (tmp_path / "db.bin").exists()
 
 
-class TestBench:
-    def test_timing_table(self, workspace, capsys):
-        rc = main(
-            ["bench", "--db", str(workspace["db"]), "--dataset", str(workspace["dataset"]),
-             "--config", str(workspace["config"]), "--limit", "3"]
-        )
-        assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        for label in ("Embedding extraction", "Embedding matching", "Feature extraction",
-                      "Feature matching", "Pose optimization", "Overall"):
-            assert label in out
-        assert "test-rig" in out
-
-
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -620,6 +667,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["generate"])
         assert exc.value.code == 2
+
+    def test_unknown_evaluate_format_exits_2(self, workspace, tmp_path):
+        report = tmp_path / "report.html"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["evaluate", "--results", str(workspace["results"]),
+                 "--dataset", str(workspace["dataset"]), "--format", "html",
+                 "--out", str(report)]
+            )
+        assert exc.value.code == EXIT_USAGE
+        assert not report.exists()
 
     def test_bad_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -654,7 +712,12 @@ class TestUsageErrors:
         assert "duplicate config key 'method' on line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["max_keypoints = -1", "fast_threshold = 40000", "ratio = 1.5", "icp_iters = -1"]
+        "line",
+        [
+            "max_keypoints = -1", "fast_threshold = 40000", "ratio = 1.5", "icp_iters = -1",
+            "ransac_threshold = inf", "gnc_noise_bound = inf", "gnc_noise_bound = 1e400",
+            "icp_tol = inf",
+        ],
     )
     def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"

@@ -17,7 +17,6 @@ from pointloc.evaluation import (
     RecallTable,
     TimingReport,
     check_monotonicity,
-    emit_report,
     parse_recall_csv,
     recall_at,
     render_recall_csv,
@@ -231,17 +230,14 @@ class TestReports:
         assert lines[0].startswith("| configuration | (5m,20°) | (1m,10°)")
         assert "0.950" in lines[2]
 
-    def test_emit_report_markdown(self, tmp_path):
-        emit_report(self.make_table(), "markdown", tmp_path / "out.md")
-        assert (tmp_path / "out.md").read_text().startswith("| configuration |")
-
-    def test_bad_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(self.make_table(), "html", tmp_path / "x")
-
-    def test_unwritable_path_raises(self, tmp_path):
-        with pytest.raises(EvaluationError):
-            emit_report(self.make_table(), "csv", tmp_path / "no" / "dir" / "x.csv")
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\r", "a\r\nb", "a\x0cb"])
+    def test_name_that_would_split_its_csv_line_rejected(self, name):
+        """A comma or a line break in a name splits the line render_recall_csv
+        writes, so parse_recall_csv could not read the table back."""
+        table = self.make_table()
+        with pytest.raises(ValueError, match=re.escape(f"configuration name {name!r}")):
+            table.add(name, RecallRow((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8), 10))
+        assert parse_recall_csv(render_recall_csv(table)).rows == table.rows
 
     def test_timing_markdown_stages(self):
         report = TimingReport(0.01, 0.001, 0.02, 0.03, 0.005, 0.07)

@@ -119,6 +119,8 @@ class TestConfig:
             ("ransac_threshold", 0.0), ("ransac_threshold", -0.1),
             ("ransac_iters", 0), ("icp_iters", -1), ("icp_tol", -1e-9),
             ("gnc_noise_bound", 0.0), ("gnc_noise_bound", float("nan")),
+            ("ransac_threshold", float("inf")), ("icp_tol", float("inf")),
+            ("gnc_noise_bound", float("inf")),
         ],
     )
     def test_out_of_range_value_rejected(self, key, value):
@@ -484,7 +486,8 @@ class TestRetrievalOnly:
         res = localize(db, dataset[0].query_frames[0], PipelineConfig(), retrieval_only=True)
         t = res.timings
         assert t.feature_matching == 0.0 and t.pose_optimization == 0.0
-        assert 0.0 < t.feature_extraction + t.retrieval <= t.overall
+        retrieval = t.embedding_extraction + t.embedding_matching
+        assert 0.0 < t.feature_extraction + retrieval <= t.overall
 
 
 class TestResultsFile:
@@ -515,7 +518,10 @@ class TestResultsFile:
             assert row.top1_frame_id == r.top1_frame_id
             assert row.fallback == r.fallback
             assert row.pose == r.estimated_pose
-            assert row.t_retrieval == pytest.approx(r.timings.retrieval, abs=1e-9)
+            t = r.timings
+            assert row.t_retrieval == pytest.approx(
+                t.embedding_extraction + t.embedding_matching, abs=1e-9
+            )
 
     def test_malformed_line_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("1,2,3\n")
